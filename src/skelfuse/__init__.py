@@ -2,8 +2,8 @@
 
 Lifts per-camera 2D skeleton detections into 3D with depth, registers them
 into a shared world frame, and fuses the asynchronous streams into per-person
-pose tracks using per-joint unscented Kalman filters with Mahalanobis-gated
-Munkres data association.
+pose tracks using per-joint constant-velocity linear Kalman filters (module
+``ukf``) with Mahalanobis-gated Munkres data association.
 """
 
 from .model import (

@@ -93,7 +93,7 @@ def build_cost_matrix(
     cents = [centroid(d) for d in dets]
     for i, state in enumerate(track_filters):
         predicted = ukf.predict(state, max(t, state.last_update), cfg)
-        z_hat, S, _, _ = ukf._measurement_stats(predicted, cfg)
+        z_hat, S = ukf.predicted_measurement(predicted, cfg)
         S_inv = np.linalg.inv(S)
         for j, c in enumerate(cents):
             if c is None:

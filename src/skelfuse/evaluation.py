@@ -46,6 +46,26 @@ def reprojection_error(
     return math.hypot(px[0] - truth_pixel[0], px[1] - truth_pixel[1])
 
 
+class _JointWindows:
+    """Per-joint windows of the last ``size`` valid observations: the MAF state."""
+
+    def __init__(self, size: int):
+        self._windows = [deque(maxlen=size) for _ in range(JOINT_COUNT)]
+
+    def push(self, skel: Skeleton3D) -> None:
+        """Append every valid joint of ``skel``; missing joints are skipped."""
+        for j in range(JOINT_COUNT):
+            if skel.valid[j]:
+                self._windows[j].append(skel.joints[j])
+
+    def mean(self, j: int, k: int) -> np.ndarray | None:
+        """Mean of joint ``j``'s last ``k`` observations, None if never observed."""
+        window = self._windows[j]
+        if not window:
+            return None
+        return np.mean(list(window)[-k:], axis=0)
+
+
 def maf_baseline(history: Sequence[Skeleton3D], k: int) -> list[Skeleton3D]:
     """Moving-average smoothing of a joint-observation series.
 
@@ -56,16 +76,16 @@ def maf_baseline(history: Sequence[Skeleton3D], k: int) -> list[Skeleton3D]:
     """
     if k < 1:
         raise ValueError("window size k must be >= 1")
-    windows: list[deque] = [deque(maxlen=k) for _ in range(JOINT_COUNT)]
+    windows = _JointWindows(k)
     out = []
     for skel in history:
+        windows.push(skel)
         joints = np.zeros((JOINT_COUNT, 3))
         valid = np.zeros(JOINT_COUNT, dtype=bool)
         for j in range(JOINT_COUNT):
-            if skel.valid[j]:
-                windows[j].append(skel.joints[j])
-            if windows[j]:
-                joints[j] = np.mean(windows[j], axis=0)
+            est = windows.mean(j, k)
+            if est is not None:
+                joints[j] = est
                 valid[j] = True
         out.append(Skeleton3D(joints, valid, skel.frame))
     return out
@@ -259,9 +279,7 @@ def _run_pass(
     max_k = max(k_values) if (run_maf and k_values) else 0
     tracker = PoseTracker(tracker_config or TrackerConfig()) if run_ours else None
     person_ids = gt.person_ids
-    maf_windows = {
-        pid: [deque(maxlen=max_k) for _ in range(JOINT_COUNT)] for pid in person_ids
-    }
+    maf_windows = {pid: _JointWindows(max_k) for pid in person_ids}
 
     ei = 0
     for t_s in sample_times:
@@ -273,11 +291,8 @@ def _run_pass(
                 for pid in person_ids:
                     truth_chest = gt.truth_at(pid, dets.stamp).joints[CHEST]
                     skel = _nearest_skeleton(dets.skeletons, truth_chest)
-                    if skel is None:
-                        continue
-                    for j in range(JOINT_COUNT):
-                        if skel.valid[j]:
-                            maf_windows[pid][j].append(skel.joints[j])
+                    if skel is not None:
+                        maf_windows[pid].push(skel)
             ei += 1
 
         snap = tracker.snapshot(t_s) if run_ours else None
@@ -305,11 +320,9 @@ def _run_pass(
                         acc[(config_label, "ours", j)].n_excluded += 1
                 if run_maf:
                     for k in k_values:
-                        window = maf_windows[pid][j]
-                        if not window:
+                        est = maf_windows[pid].mean(j, k)
+                        if est is None:
                             continue
-                        tail = list(window)[-k:]
-                        est = np.mean(tail, axis=0)
                         try:
                             err = reprojection_error(est, p_star, ref_cam)
                             acc[(config_label, f"MAF_{k}", j)].errors.append(err)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .errors import TimeRegressionError
 from .model import (
     JOINT_COUNT,
     CameraModel,
@@ -51,49 +50,21 @@ def lift_skeleton(
 
 def make_detection_set(
     skeletons: list[Skeleton2D],
-    dm: DepthMap,
+    depth_maps: list[DepthMap],
     cam: CameraModel,
     stamp: Timestamp,
     radius_px: float = geometry.DEFAULT_NEIGHBORHOOD_PX,
-    prev_stamp: Timestamp | None = None,
 ) -> DetectionSet:
     """Lift a camera frame's skeletons, register them to the world, stamp them.
 
-    Skeletons whose joints are ALL invalid after lifting are dropped: an
+    Skeleton i is lifted with ``depth_maps[i]`` (the two lists pair up one to
+    one). Skeletons whose joints are ALL invalid after lifting are dropped: an
     empty skeleton is unassociable evidence and would only create ghost
     detections downstream. The result may legitimately hold zero skeletons.
-
-    Raises:
-        TimeRegressionError: if ``prev_stamp`` is given and ``stamp`` regresses
-            (per-camera streams must be non-decreasing).
     """
-    if prev_stamp is not None and stamp < prev_stamp:
-        raise TimeRegressionError(
-            f"camera {cam.camera_id!r}: stamp {stamp} regresses below {prev_stamp}"
-        )
     lifted = []
-    for s2d in skeletons:
+    for s2d, dm in zip(skeletons, depth_maps, strict=True):
         s3d = lift_skeleton(s2d, dm, cam, radius_px)
         if s3d.n_valid > 0:
             lifted.append(geometry.transform_skeleton(s3d, cam))
     return DetectionSet(camera_id=cam.camera_id, stamp=stamp, skeletons=tuple(lifted))
-
-
-class SingleViewPipeline:
-    """Stateful per-camera wrapper enforcing non-decreasing frame timestamps.
-
-    One instance per camera; distinct cameras may run concurrently, frames
-    within one camera are processed serially.
-    """
-
-    def __init__(self, cam: CameraModel, radius_px: float = geometry.DEFAULT_NEIGHBORHOOD_PX):
-        self.cam = cam
-        self.radius_px = radius_px
-        self._last_stamp: Timestamp | None = None
-
-    def process(self, skeletons: list[Skeleton2D], dm: DepthMap, stamp: Timestamp) -> DetectionSet:
-        dets = make_detection_set(
-            skeletons, dm, self.cam, stamp, self.radius_px, prev_stamp=self._last_stamp
-        )
-        self._last_stamp = stamp
-        return dets

@@ -125,9 +125,6 @@ class CameraModel:
     def frame(self) -> str:
         return camera_frame(self.camera_id)
 
-    def world_from_camera(self) -> np.ndarray:
-        return self.extrinsic
-
     def camera_from_world(self) -> np.ndarray:
         """Rigid inverse of the extrinsic (world -> camera)."""
         r = self.extrinsic[:3, :3]
@@ -209,34 +206,6 @@ class Skeleton2D:
             and np.array_equal(self.pixels, other.pixels)
             and np.array_equal(self.confidence, other.confidence)
         )
-
-    def to_dict(self) -> dict:
-        joints = []
-        for i in range(JOINT_COUNT):
-            if self.valid[i]:
-                joints.append({
-                    "id": i,
-                    "x": float(self.pixels[i, 0]),
-                    "y": float(self.pixels[i, 1]),
-                    "confidence": float(self.confidence[i]),
-                    "valid": True,
-                })
-            else:
-                joints.append({"id": i, "x": None, "y": None, "confidence": None, "valid": False})
-        return {"joints": joints}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Skeleton2D":
-        px = np.zeros((JOINT_COUNT, 2))
-        conf = np.zeros(JOINT_COUNT)
-        valid = np.zeros(JOINT_COUNT, dtype=bool)
-        for entry in d["joints"]:
-            i = int(entry["id"])
-            if entry.get("valid"):
-                px[i] = (float(entry["x"]), float(entry["y"]))
-                conf[i] = float(entry["confidence"])
-                valid[i] = True
-        return cls(px, conf, valid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,21 +302,6 @@ class DepthMap:
             and self.height == other.height
             and np.array_equal(self.values, other.values, equal_nan=True)
         )
-
-    def to_dict(self) -> dict:
-        flat = self.values.reshape(-1)
-        return {
-            "width": self.width,
-            "height": self.height,
-            "values": [None if np.isnan(x) else float(x) for x in flat],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DepthMap":
-        vals = np.array(
-            [np.nan if x is None else float(x) for x in d["values"]], dtype=float
-        )
-        return cls(int(d["width"]), int(d["height"]), vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConfigError
-from .lifting import lift_skeleton
+from .lifting import make_detection_set
 from .model import (
     CHEST,
     HEAD,
@@ -347,12 +347,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[SimEvent], GroundTruth]:
             if rendered is None:
                 continue
             skeletons, depth_maps = rendered
-            lifted = []
-            for s2d, dm in zip(skeletons, depth_maps):
-                s3d = lift_skeleton(s2d, dm, spec.camera)
-                if s3d.n_valid > 0:
-                    lifted.append(geometry.transform_skeleton(s3d, spec.camera))
-            dets = DetectionSet(camera_id=spec.camera.camera_id, stamp=t, skeletons=tuple(lifted))
+            dets = make_detection_set(skeletons, depth_maps, spec.camera, t)
             arrival = max(prev_arrival, t + jitter)
             prev_arrival = arrival
             events.append(SimEvent(arrival=arrival, detections=dets))

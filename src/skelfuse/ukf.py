@@ -1,12 +1,15 @@
-"""Per-joint Unscented Kalman Filter with constant-velocity motion.
+"""Per-joint linear Kalman filter with constant-velocity motion.
 
 State is 6-D: position (m) and velocity (m/s), three axes each. The motion
 model integrates velocity between updates and injects continuous
 white-acceleration process noise, whose discretization is additive: predicting
 over dt1 + dt2 equals predicting over dt1 then dt2. The measurement is the
-3-D position. Because both models are linear, the unscented transform is
-exact and the filter coincides with a linear Kalman filter, which serves as
-the correctness oracle in the test suite.
+3-D position, ``H = [I 0]`` with isotropic noise ``R = meas_sigma^2 I``.
+Both models are linear, so the closed-form Kalman filter is exact; the test
+suite checks it against an independently coded explicit-matrix filter.
+
+The module keeps the name ``ukf`` because that is the layer name under which
+the benchmark (``perfbench``) reports filter predict/update time.
 
 All operations are pure (state in, state out); filtering distinct joints in
 parallel is safe by construction.
@@ -15,7 +18,6 @@ parallel is safe by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +30,7 @@ MEAS_DIM = 3
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Filter noise magnitudes and unscented-transform parameters.
+    """Filter noise magnitudes.
 
     ``process_accel_sigma`` is the continuous white-acceleration intensity
     (default 2.0 m/s^2, the scale of human limb accelerations);
@@ -47,18 +49,11 @@ class NoiseConfig:
     meas_sigma: float = 0.05
     centroid_meas_sigma: float = 0.2
     init_vel_sigma: float = 1.0
-    alpha: float = 0.1
-    beta: float = 2.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         if min(self.process_accel_sigma, self.meas_sigma, self.centroid_meas_sigma,
                self.init_vel_sigma) <= 0:
             raise ValueError("noise sigmas must be positive")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.alpha**2 * (STATE_DIM + self.kappa) <= 0:
-            raise ValueError("alpha^2 * (n + kappa) must be positive")
 
     def for_centroid(self) -> "NoiseConfig":
         """The config the centroid filter runs under (its own meas sigma)."""
@@ -76,46 +71,13 @@ class FilterState:
     def position(self) -> np.ndarray:
         return self.mean[:3]
 
-    def velocity(self) -> np.ndarray:
-        return self.mean[3:]
-
     def position_cov(self) -> np.ndarray:
         return self.cov[:3, :3]
 
 
-@lru_cache(maxsize=None)
-def _ut_weights(alpha: float, beta: float, kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Scaled unscented-transform scaling factor and mean/cov weights."""
-    n = STATE_DIM
-    lam = alpha**2 * (n + kappa) - n
-    c = n + lam
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
-    wc = wm.copy()
-    wm[0] = lam / c
-    wc[0] = lam / c + (1.0 - alpha**2 + beta)
-    return c, wm, wc
-
-
-def _sigma_points(mean: np.ndarray, cov: np.ndarray, scale: float) -> np.ndarray:
-    """(2n+1, n) sigma points; rows 1..n are +columns, n+1..2n are -columns."""
-    try:
-        sqrt = np.linalg.cholesky(scale * cov)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError("covariance is not positive-definite") from exc
-    pts = np.empty((2 * STATE_DIM + 1, STATE_DIM))
-    pts[0] = mean
-    pts[1:STATE_DIM + 1] = mean + sqrt.T
-    pts[STATE_DIM + 1:] = mean - sqrt.T
-    return pts
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) * 0.5
-
-
 def _check_valid(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and verify positive-definiteness (Cholesky must succeed)."""
-    cov = _symmetrize(cov)
+    cov = (cov + cov.T) * 0.5
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -149,7 +111,9 @@ def init_filter(z0: np.ndarray, t0: Timestamp, cfg: NoiseConfig) -> FilterState:
 
 
 def predict(s: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
-    """Unscented constant-velocity propagation of ``s`` forward to time ``t``.
+    """Constant-velocity propagation of ``s`` forward to time ``t``.
+
+    ``x <- F x`` and ``P <- F P F' + Q(dt)`` with ``F = [[I, dt I], [0, I]]``.
 
     Raises:
         TimeRegressionError: if ``t`` precedes ``s.last_update``.
@@ -160,36 +124,26 @@ def predict(s: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
     if dt == 0.0:
         return FilterState(mean=s.mean.copy(), cov=s.cov.copy(), last_update=t)
 
-    scale, wm, wc = _ut_weights(cfg.alpha, cfg.beta, cfg.kappa)
-    pts = _sigma_points(s.mean, s.cov, scale)
-    prop = pts.copy()
-    prop[:, :3] += pts[:, 3:] * dt
-
-    mean = wm @ prop
-    dev = prop - mean
-    cov = (dev.T * wc) @ dev + process_noise(dt, cfg.process_accel_sigma)
+    F = np.eye(STATE_DIM)
+    F[0, 3] = F[1, 4] = F[2, 5] = dt
+    mean = F @ s.mean
+    cov = F @ s.cov @ F.T + process_noise(dt, cfg.process_accel_sigma)
     return FilterState(mean=mean, cov=_check_valid(cov), last_update=t)
 
 
-def _measurement_stats(s: FilterState, cfg: NoiseConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unscented measurement statistics of a predicted state.
+def predicted_measurement(s: FilterState, cfg: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted measurement and innovation covariance ``(z_hat, S)`` of ``s``.
 
-    Returns (z_hat, S, P_xz, deviations) where S already includes the
-    measurement noise.
+    ``z_hat = H x`` is the position and ``S = H P H' + R = P_pp + meas_sigma^2 I``.
+    This is the one place the measurement model (H, R) is spelled out.
     """
-    scale, wm, wc = _ut_weights(cfg.alpha, cfg.beta, cfg.kappa)
-    pts = _sigma_points(s.mean, s.cov, scale)
-    z_pts = pts[:, :MEAS_DIM]
-    z_hat = wm @ z_pts
-    z_dev = z_pts - z_hat
-    S = (z_dev.T * wc) @ z_dev + cfg.meas_sigma**2 * np.eye(MEAS_DIM)
-    x_dev = pts - s.mean
-    P_xz = (x_dev.T * wc) @ z_dev
-    return z_hat, _symmetrize(S), P_xz, x_dev
+    return s.mean[:3], s.cov[:3, :3] + cfg.meas_sigma**2 * np.eye(MEAS_DIM)
 
 
 def update(s: FilterState, z: np.ndarray, cfg: NoiseConfig) -> FilterState:
-    """Unscented position-measurement update of an already-predicted state.
+    """Kalman position-measurement update of an already-predicted state.
+
+    ``K = P H' S^-1``, ``x <- x + K (z - z_hat)``, ``P <- P - K S K'``.
 
     Raises:
         ValueError: if ``z`` is non-finite (the state is left unchanged).
@@ -198,28 +152,11 @@ def update(s: FilterState, z: np.ndarray, cfg: NoiseConfig) -> FilterState:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"measurement must be finite, got {z}")
 
-    z_hat, S, P_xz, _ = _measurement_stats(s, cfg)
+    z_hat, S = predicted_measurement(s, cfg)
     try:
-        gain = np.linalg.solve(S, P_xz.T).T
+        gain = np.linalg.solve(S, s.cov[:3, :]).T
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError("innovation covariance is singular") from exc
     mean = s.mean + gain @ (z - z_hat)
     cov = s.cov - gain @ S @ gain.T
     return FilterState(mean=mean, cov=_check_valid(cov), last_update=s.last_update)
-
-
-def innovation_cost(s: FilterState, z_candidate: np.ndarray, t: Timestamp, cfg: NoiseConfig) -> float:
-    """Squared Mahalanobis distance of a candidate measurement at time ``t``.
-
-    Predicts a throwaway copy of ``s`` to ``t`` and evaluates
-    ``ztilde' S^-1 ztilde`` against the predicted innovation covariance;
-    ``s`` itself is never mutated.
-    """
-    z = np.asarray(z_candidate, dtype=float).reshape(MEAS_DIM)
-    predicted = predict(s, t, cfg)
-    z_hat, S, _, _ = _measurement_stats(predicted, cfg)
-    ztilde = z - z_hat
-    try:
-        return float(ztilde @ np.linalg.solve(S, ztilde))
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError("innovation covariance is singular") from exc

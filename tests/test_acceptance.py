@@ -33,7 +33,7 @@ def _bundled(name):
 
 
 # -----------------------------------------------------------------------------
-# 1. UKF == linear KF on the constant-velocity model
+# 1. The ukf module == an independent linear KF on the constant-velocity model
 # -----------------------------------------------------------------------------
 
 def test_criterion_1_ukf_linear_kf_equivalence():
@@ -58,7 +58,7 @@ def test_criterion_1_ukf_linear_kf_equivalence():
     assert worst_mean < 1e-9
     assert worst_cov < 1e-9
     assert elapsed < 5.0
-    print(f"\nACCEPTANCE 1 PASS: UKF==KF over 100x50 steps "
+    print(f"\nACCEPTANCE 1 PASS: ukf==KF over 100x50 steps "
           f"(mean dev {worst_mean:.2e}, cov dev {worst_cov:.2e}, {elapsed:.2f}s)")
 
 

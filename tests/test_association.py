@@ -92,7 +92,7 @@ def test_cost_matrix_missing_centroid_is_inf():
 
 def test_cost_matrix_elementwise_oracle():
     # 2x3 case recomputed element by element with explicit matrices
-    # (independent of the unscented machinery; the model is linear).
+    # (independent of the production filter code).
     rng = np.random.default_rng(3)
     tracks = [init_filter(rng.uniform(-1, 1, 3), 0.0, CFG) for _ in range(2)]
     dets = [sparse_skeleton({CHEST: tuple(rng.uniform(-1, 1, 3))}) for _ in range(3)]

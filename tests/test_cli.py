@@ -245,3 +245,32 @@ def test_golden_stream_bytes_pinned(tmp_path):
     data = (out / "stream.jsonl").read_bytes()
     assert data.decode().splitlines()[0].startswith(GOLDEN_FIRST_RECORD_PREFIX)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_STREAM_SHA256
+
+
+# Tracker output on the bundled three_person_jitter stream. Events carry only
+# association and lifecycle decisions, so their bytes are pinned exactly; the
+# snapshot fingerprint (sums of valid joint coordinates and of cov_trace) is
+# pinned to 1e-9 relative, so a filter refactor may move the last bits only.
+JITTER_EVENTS_SHA256 = "7c8e560a17ce0c80dcd2fd40b5834b632bec1933ed9c748af5ea9f57f6a35a0d"
+JITTER_JOINT_COORD_SUM = 13043.026950106438
+JITTER_COV_TRACE_SUM = 50.60314917077529
+
+
+def test_track_output_pinned_on_three_person_jitter(tmp_path):
+    import hashlib
+
+    sim, trk = tmp_path / "sim", tmp_path / "trk"
+    assert main(["simulate", "--scenario", "three_person_jitter", "--out", str(sim)]) == 0
+    assert main(["track", "--stream", str(sim / "stream.jsonl"),
+                 "--calib", str(sim / "calibration.json"), "--out", str(trk)]) == 0
+    events = (trk / "events.jsonl").read_bytes()
+    assert hashlib.sha256(events).hexdigest() == JITTER_EVENTS_SHA256
+    coord_sum, trace_sum = 0.0, 0.0
+    for line in (trk / "snapshots.jsonl").read_text().splitlines():
+        for track in json.loads(line)["tracks"]:
+            for j in track["joints"]:
+                if j["valid"]:
+                    coord_sum += j["x"] + j["y"] + j["z"]
+                    trace_sum += j["cov_trace"]
+    assert coord_sum == pytest.approx(JITTER_JOINT_COORD_SUM, rel=1e-9)
+    assert trace_sum == pytest.approx(JITTER_COV_TRACE_SUM, rel=1e-9)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from skelfuse.errors import TimeRegressionError
 from skelfuse.geometry import project, transform_skeleton
-from skelfuse.lifting import SingleViewPipeline, lift_skeleton, make_detection_set
+from skelfuse.lifting import lift_skeleton, make_detection_set
 from skelfuse.model import JOINT_COUNT, WORLD_FRAME, DepthMap, Skeleton2D
 from skelfuse.simulate import GroundTruth, render_detection
 
@@ -97,7 +96,7 @@ def test_valid_3d_count_bounded_by_valid_2d():
 
 def test_make_detection_set_empty_is_valid():
     cam = make_camera()
-    ds = make_detection_set([], _uniform_depth(8, 8, 1.0), cam, stamp=1.5)
+    ds = make_detection_set([], [], cam, stamp=1.5)
     assert ds.skeletons == ()
     assert ds.stamp == 1.5
     assert ds.camera_id == cam.camera_id
@@ -106,7 +105,7 @@ def test_make_detection_set_empty_is_valid():
 def test_make_detection_set_identity_extrinsic():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
     s2d = _skeleton2d({3: (320.0, 240.0)})
-    ds = make_detection_set([s2d], _uniform_depth(640, 480, 2.0), cam, stamp=0.0)
+    ds = make_detection_set([s2d], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
     assert len(ds.skeletons) == 1
     assert ds.skeletons[0].frame == WORLD_FRAME
     assert np.allclose(ds.skeletons[0].joints[3], [0.0, 0.0, 2.0])
@@ -117,34 +116,29 @@ def test_make_detection_set_drops_all_invalid_skeletons():
     s_ok = _skeleton2d({3: (320.0, 240.0)})
     ds = make_detection_set(
         [Skeleton2D.empty(), s_ok, Skeleton2D.empty()],
-        _uniform_depth(640, 480, 2.0), cam, stamp=0.0,
+        [_uniform_depth(640, 480, 2.0)] * 3, cam, stamp=0.0,
     )
     assert len(ds.skeletons) == 1
 
 
 def test_make_detection_set_matches_per_skeleton_transform():
-    # Two persons through a rotated+translated camera equals independent
-    # lift + transform composition.
+    # Two persons through a rotated+translated camera, each with its own depth
+    # map, equals independent lift + transform composition.
     m = np.eye(4)
     m[:3, :3] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     m[:3, 3] = (0.5, -1.0, 0.25)
     cam = make_camera("cr", fx=500, fy=500, cx=320, cy=240, extrinsic=m)
-    dm = _uniform_depth(640, 480, 3.0)
+    dms = [_uniform_depth(640, 480, 3.0), _uniform_depth(640, 480, 2.0)]
     a = _skeleton2d({0: (300.0, 200.0), 1: (350.0, 260.0)})
     b = _skeleton2d({14: (100.0, 100.0)})
-    ds = make_detection_set([a, b], dm, cam, stamp=0.0)
-    for got, s2d in zip(ds.skeletons, (a, b)):
+    ds = make_detection_set([a, b], dms, cam, stamp=0.0)
+    for got, s2d, dm in zip(ds.skeletons, (a, b), dms):
         expect = transform_skeleton(lift_skeleton(s2d, dm, cam), cam)
         assert got == expect
 
 
-def test_timestamp_regression_rejected():
+def test_make_detection_set_requires_one_depth_map_per_skeleton():
     cam = make_camera()
-    dm = _uniform_depth(8, 8, 1.0)
-    pipe = SingleViewPipeline(cam)
-    pipe.process([], dm, 1.0)
-    pipe.process([], dm, 1.0)  # equal stamps allowed
-    with pytest.raises(TimeRegressionError):
-        pipe.process([], dm, 0.5)
-    with pytest.raises(TimeRegressionError):
-        make_detection_set([], dm, cam, stamp=0.5, prev_stamp=1.0)
+    s = _skeleton2d({3: (320.0, 240.0)})
+    with pytest.raises(ValueError):
+        make_detection_set([s, s], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)

@@ -1,19 +1,21 @@
-"""Tests for the per-joint unscented Kalman filter.
+"""Tests for the per-joint Kalman filter in ``skelfuse.ukf``.
 
-The central oracle: the motion and measurement models are both linear, so the
-UKF must coincide with an independently coded linear Kalman filter to
-numerical precision on any input sequence.
+The central oracle: the filter must coincide with an independently coded
+explicit-matrix linear Kalman filter to numerical precision on any input
+sequence. Innovation costs are checked through the association cost matrix,
+the one production path that scores a candidate measurement.
 """
 
 import numpy as np
 import pytest
 
+from skelfuse.association import build_cost_matrix
 from skelfuse.errors import TimeRegressionError
+from skelfuse.model import CHEST, WORLD_FRAME, Skeleton3D
 from skelfuse.ukf import (
     FilterState,
     NoiseConfig,
     init_filter,
-    innovation_cost,
     predict,
     process_noise,
     update,
@@ -75,10 +77,16 @@ class LinearKalman:
 CFG = NoiseConfig()
 
 
+def innovation_cost(s, z, t, cfg=CFG):
+    """Cost of one chest-only detection at ``z`` against track filter ``s`` at ``t``."""
+    det = Skeleton3D.from_joints({CHEST: np.asarray(z, dtype=float)}, WORLD_FRAME)
+    return float(build_cost_matrix([s], [det], t, cfg)[0, 0])
+
+
 def test_init_filter_mean_and_velocity():
     s = init_filter(np.array([1.0, 2.0, 3.0]), 0.0, CFG)
     assert np.array_equal(s.position(), [1.0, 2.0, 3.0])
-    assert np.array_equal(s.velocity(), [0.0, 0.0, 0.0])
+    assert np.array_equal(s.mean[3:], [0.0, 0.0, 0.0])
     assert s.last_update == 0.0
 
 
@@ -116,7 +124,7 @@ def test_predict_constant_velocity_motion():
     )
     p = predict(s, 0.5, CFG)
     assert np.allclose(p.position(), [0.5, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(p.velocity(), [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(p.mean[3:], [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_predict_rejects_time_regression():
