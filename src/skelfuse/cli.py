@@ -17,14 +17,11 @@ from pathlib import Path
 from . import io
 from .errors import SkelFuseError
 from .evaluation import evaluate
-from .model import JOINT_COUNT
 from .simulate import bundled_scenario_path, load_scenario, run_scenario
 from .tracker import PoseTracker, TrackerConfig
 from .ukf import NoiseConfig
 
 log = logging.getLogger(__name__)
-
-TRUTH_SAMPLE_HZ = 20.0
 
 
 def _resolve_scenario(name_or_path: str) -> Path:
@@ -47,18 +44,7 @@ def cmd_simulate(args) -> int:
     io.write_detections(out / "stream.jsonl", (e.detections for e in events))
     io.write_calibration(out / "calibration.json", cfg.camera_models())
 
-    truth_records = []
-    n = int(cfg.duration * TRUTH_SAMPLE_HZ)
-    for pid in gt.person_ids:
-        for k in range(n):
-            t = k / TRUTH_SAMPLE_HZ
-            skel = gt.truth_at(pid, t)
-            truth_records.append({
-                "person_id": pid,
-                "t": t,
-                "joints": [[float(v) for v in skel.joints[j]] for j in range(JOINT_COUNT)],
-            })
-    io.write_jsonl(out / "truth.jsonl", truth_records)
+    io.write_truth(out / "truth.jsonl", gt)
     print(f"wrote {len(events)} detection sets to {out / 'stream.jsonl'}")
     return 0
 
@@ -139,15 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_trk = sub.add_parser("track", help="replay a detection stream through the tracker")
+    tracker_defaults = TrackerConfig()
     p_trk.add_argument("--stream", required=True, help="detection JSONL file")
     p_trk.add_argument("--calib", required=True, help="calibration JSON file")
     p_trk.add_argument("--out", required=True, help="output directory")
-    p_trk.add_argument("--gating-eps", type=float, default=TrackerConfig().gating_eps)
-    p_trk.add_argument("--max-track-age", type=float, default=1.0)
-    p_trk.add_argument("--min-hits", type=int, default=3)
-    p_trk.add_argument("--stale-tolerance", type=float, default=0.5)
-    p_trk.add_argument("--meas-sigma", type=float, default=NoiseConfig().meas_sigma)
-    p_trk.add_argument("--accel-sigma", type=float, default=NoiseConfig().process_accel_sigma)
+    p_trk.add_argument("--gating-eps", type=float, default=tracker_defaults.gating_eps)
+    p_trk.add_argument("--max-track-age", type=float, default=tracker_defaults.max_track_age)
+    p_trk.add_argument("--min-hits", type=int, default=tracker_defaults.min_hits_to_confirm)
+    p_trk.add_argument("--stale-tolerance", type=float, default=tracker_defaults.stale_tolerance)
+    p_trk.add_argument("--meas-sigma", type=float, default=tracker_defaults.noise.meas_sigma)
+    p_trk.add_argument("--accel-sigma", type=float,
+                       default=tracker_defaults.noise.process_accel_sigma)
     p_trk.set_defaults(func=cmd_track)
 
     p_eval = sub.add_parser("evaluate", help="run the reprojection-error protocol")

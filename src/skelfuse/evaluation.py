@@ -217,8 +217,12 @@ def evaluate(
         raise ConfigError(f"unknown reference camera {ref_id!r}")
     ref_spec = cfg.cameras[camera_ids.index(ref_id)]
     ref_cam = ref_spec.camera
+    if any(k < 1 for k in k_values):
+        raise ConfigError(f"MAF window sizes must be >= 1, got {list(k_values)}")
     if seeds is None:
         seeds = [cfg.seed]
+    if not seeds:
+        raise ConfigError("at least one seed is required")
 
     sample_times = [
         k / ref_spec.frame_rate

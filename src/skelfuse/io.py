@@ -1,17 +1,15 @@
-"""File schemas: detection streams, calibration, truth, track events, snapshots.
+"""Codecs of the record files the commands exchange; no other module reads or writes one.
 
-Detection streams are JSONL, one world-frame DetectionSet per line in arrival
-order, so recorded real-sensor data replays through the identical tracker
-path as simulation:
+- ``stream.jsonl``: one world-frame DetectionSet per line in arrival order,
+  ``{"camera_id", "stamp", "skeletons": [{"joints": [{"id", "x", "y", "z", "valid"}]}]}``.
+- ``calibration.json``: ``{"convention", "cameras": [{"id", "fx", "fy", "cx",
+  "cy", "extrinsic": [16 row-major]}]}``; the extrinsic maps camera-frame
+  points to world-frame points, as the "convention" field states.
+- ``truth.jsonl``: ``{"person_id", "t", "joints": [[x, y, z] x 15]}``.
+- ``events.jsonl`` and ``snapshots.jsonl``: the tracker's output.
 
-    {"camera_id": "c0", "stamp": 0.1,
-     "skeletons": [{"joints": [{"id": 0, "x": ..., "y": ..., "z": ..., "valid": true}, ...]}]}
-
-Calibration files are a single JSON document; the extrinsic maps CAMERA-frame
-points to WORLD-frame points (stated in the file's "convention" field to
-prevent inversion bugs):
-
-    {"convention": "...", "cameras": [{"id", "fx", "fy", "cx", "cy", "extrinsic": [16 row-major]}]}
+Writers never emit NaN or Infinity; readers turn a malformed record into a
+ConfigError naming the file and the line or camera entry.
 """
 
 from __future__ import annotations
@@ -19,8 +17,11 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ConfigError
-from .model import CameraModel, DetectionSet
+from .model import CameraModel, DetectionSet, Skeleton3D
+from .simulate import GroundTruth
 from .tracker import FusedSnapshot, TrackEvent
 
 CALIBRATION_CONVENTION = (
@@ -28,15 +29,22 @@ CALIBRATION_CONVENTION = (
     "to world-frame points (camera->world)"
 )
 
+TRUTH_SAMPLE_HZ = 20.0
+
+# What parsing a malformed record into model types raises.
+_RECORD_ERRORS = (ConfigError, KeyError, TypeError, ValueError, OverflowError)
+
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
 def write_detections(path, detections: Iterable[DetectionSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ds in detections:
-            fh.write(_dumps(ds.to_dict()) + "\n")
+    write_jsonl(path, (
+        {"camera_id": ds.camera_id, "stamp": ds.stamp,
+         "skeletons": [s.to_dict() for s in ds.skeletons]}
+        for ds in detections
+    ))
 
 
 def read_detections(path) -> list[DetectionSet]:
@@ -47,8 +55,13 @@ def read_detections(path) -> list[DetectionSet]:
             if not line:
                 continue
             try:
-                out.append(DetectionSet.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                d = json.loads(line)
+                out.append(DetectionSet(
+                    camera_id=str(d["camera_id"]),
+                    stamp=float(d["stamp"]),
+                    skeletons=tuple(Skeleton3D.from_dict(s) for s in d["skeletons"]),
+                ))
+            except _RECORD_ERRORS as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad detection record: {exc}") from exc
     return out
 
@@ -56,10 +69,14 @@ def read_detections(path) -> list[DetectionSet]:
 def write_calibration(path, cameras: Iterable[CameraModel]) -> None:
     doc = {
         "convention": CALIBRATION_CONVENTION,
-        "cameras": [cam.to_dict() for cam in cameras],
+        "cameras": [
+            {"id": cam.camera_id, "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
+             "extrinsic": cam.extrinsic.reshape(-1).tolist()}
+            for cam in cameras
+        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def read_calibration(path) -> dict[str, CameraModel]:
@@ -68,33 +85,44 @@ def read_calibration(path) -> dict[str, CameraModel]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "cameras" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("cameras"), list):
         raise ConfigError(f"{path}: calibration file must hold a 'cameras' list")
     cams = {}
-    for entry in doc["cameras"]:
-        cam = CameraModel.from_dict(entry)
+    for n, entry in enumerate(doc["cameras"]):
+        try:
+            cam = CameraModel(
+                str(entry["id"]), float(entry["fx"]), float(entry["fy"]),
+                float(entry["cx"]), float(entry["cy"]), entry.get("extrinsic", np.eye(4)),
+            )
+        except _RECORD_ERRORS as exc:
+            raise ConfigError(f"{path}: camera entry {n}: {exc}") from exc
         if cam.camera_id in cams:
             raise ConfigError(f"{path}: duplicate camera id {cam.camera_id!r}")
         cams[cam.camera_id] = cam
     return cams
 
 
+def write_truth(path, gt: GroundTruth) -> None:
+    """Every person's true pose at ``TRUTH_SAMPLE_HZ`` over the scenario duration."""
+    n = int(gt.duration * TRUTH_SAMPLE_HZ)
+    write_jsonl(path, (
+        {"person_id": pid, "t": k / TRUTH_SAMPLE_HZ,
+         "joints": gt.truth_at(pid, k / TRUTH_SAMPLE_HZ).joints.tolist()}
+        for pid in gt.person_ids
+        for k in range(n)
+    ))
+
+
 def event_to_dict(ev: TrackEvent) -> dict:
-    return {
-        "event": ev.kind,
-        "track_id": ev.track_id,
-        "stamp": ev.stamp,
-        "camera_id": ev.camera_id,
-    }
+    return {"event": ev.kind, "track_id": ev.track_id, "stamp": ev.stamp, "camera_id": ev.camera_id}
 
 
 def snapshot_to_dict(snap: FusedSnapshot) -> dict:
     tracks = []
     for tp in snap.tracks:
-        joints = []
-        for entry, trace in zip(tp.skeleton.to_dict()["joints"], tp.cov_traces):
+        joints = tp.skeleton.to_dict()["joints"]
+        for entry, trace in zip(joints, tp.cov_traces):
             entry["cov_trace"] = trace
-            joints.append(entry)
         tracks.append({"track_id": tp.track_id, "joints": joints})
     return {"stamp": snap.stamp, "tracks": tracks}
 

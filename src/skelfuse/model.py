@@ -110,9 +110,11 @@ class CameraModel:
         )
 
     def __post_init__(self):
+        m = _as_matrix(self.extrinsic)
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy, *m.flat])):
+            raise ConfigError(f"camera {self.camera_id!r}: intrinsics and extrinsic must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ConfigError(f"camera {self.camera_id!r}: focal lengths must be positive")
-        m = _as_matrix(self.extrinsic)
         r = m[:3, :3]
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ConfigError(f"camera {self.camera_id!r}: extrinsic rotation is not a proper rotation")
@@ -133,30 +135,6 @@ class CameraModel:
         inv[:3, :3] = r.T
         inv[:3, 3] = -r.T @ t
         return inv
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.camera_id,
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "extrinsic": [float(v) for v in self.extrinsic.reshape(-1)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraModel":
-        try:
-            return cls(
-                camera_id=str(d["id"]),
-                fx=float(d["fx"]),
-                fy=float(d["fy"]),
-                cx=float(d["cx"]),
-                cy=float(d["cy"]),
-                extrinsic=_as_matrix(d.get("extrinsic", np.eye(4))),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"camera record missing key {exc}") from exc
 
 
 def _joint_arrays(n_cols: int, coords, valid) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +244,27 @@ class Skeleton3D:
         return {"joints": joints}
 
     @classmethod
-    def from_dict(cls, d: dict, frame: str = WORLD_FRAME) -> "Skeleton3D":
+    def from_dict(cls, d: dict) -> "Skeleton3D":
+        """Parse the world-frame joint record that stream and snapshot lines embed.
+
+        Other keys (a snapshot's ``track_id``, ``cov_trace``) are ignored. A
+        joint id that is not an int in ``[0, JOINT_COUNT)``, or that repeats,
+        raises ConfigError.
+        """
         c = np.zeros((JOINT_COUNT, 3))
         v = np.zeros(JOINT_COUNT, dtype=bool)
+        seen = set()
         for entry in d["joints"]:
-            i = int(entry["id"])
+            i = entry["id"]
+            if type(i) is not int or not 0 <= i < JOINT_COUNT or i in seen:
+                raise ConfigError(
+                    f"joint ids must be distinct ints in [0, {JOINT_COUNT}), got {i!r}"
+                )
+            seen.add(i)
             if entry.get("valid"):
                 c[i] = (float(entry["x"]), float(entry["y"]), float(entry["z"]))
                 v[i] = True
-        return cls(c, v, frame)
+        return cls(c, v, WORLD_FRAME)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +309,8 @@ class DetectionSet:
                 raise FrameMismatchError(
                     f"detection sets must hold world-frame skeletons, got {s.frame!r}"
                 )
-        if self.stamp < 0:
-            raise ConfigError("timestamps must be non-negative")
+        if not 0.0 <= self.stamp < np.inf:
+            raise ConfigError(f"timestamps must be finite and non-negative, got {self.stamp}")
         object.__setattr__(self, "skeletons", sk)
 
     def __eq__(self, other) -> bool:
@@ -330,19 +320,4 @@ class DetectionSet:
             self.camera_id == other.camera_id
             and self.stamp == other.stamp
             and self.skeletons == other.skeletons
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "camera_id": self.camera_id,
-            "stamp": self.stamp,
-            "skeletons": [s.to_dict() for s in self.skeletons],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectionSet":
-        return cls(
-            camera_id=str(d["camera_id"]),
-            stamp=float(d["stamp"]),
-            skeletons=tuple(Skeleton3D.from_dict(s) for s in d["skeletons"]),
         )

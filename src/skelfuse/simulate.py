@@ -84,6 +84,9 @@ class PersonSpec:
             raise ConfigError(f"person {self.person_id!r}: waypoints must be rows of [t, x, y]")
         if np.any(np.diff(w[:, 0]) < 0):
             raise ConfigError(f"person {self.person_id!r}: waypoint times must be non-decreasing")
+        motion = (self.heading_deg, self.swing_amplitude, self.swing_hz, self.swing_phase)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(motion))):
+            raise ConfigError(f"person {self.person_id!r}: waypoints and motion must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "waypoints", w)
 
@@ -105,17 +108,20 @@ class CameraSpec:
 
     def __post_init__(self):
         cid = self.camera.camera_id
-        if self.frame_rate <= 0:
-            raise ConfigError(f"camera {cid!r}: frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise ConfigError(f"camera {cid!r}: frame_rate must be positive and finite")
         lo, hi = self.latency_jitter
-        if lo < 0 or hi < lo:
-            raise ConfigError(f"camera {cid!r}: latency_jitter bounds must satisfy 0 <= lo <= hi")
+        if not 0 <= lo <= hi < math.inf:
+            raise ConfigError(
+                f"camera {cid!r}: latency_jitter bounds must satisfy 0 <= lo <= hi < inf"
+            )
         for name in ("joint_dropout", "detection_dropout"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"camera {cid!r}: {name} must lie in [0, 1]")
-        if self.pixel_sigma < 0 or self.depth_sigma < 0:
-            raise ConfigError(f"camera {cid!r}: noise sigmas must be non-negative")
+        sizes = (self.pixel_sigma, self.depth_sigma, self.splat_radius)
+        if not all(0 <= v < math.inf for v in sizes):
+            raise ConfigError(f"camera {cid!r}: noise sigmas and splat_radius must be finite, >= 0")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError(f"camera {cid!r}: image size must be positive")
 
@@ -128,8 +134,8 @@ class ScenarioConfig:
     cameras: tuple[CameraSpec, ...]
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError("duration must be positive and finite")
         ids = [c.camera.camera_id for c in self.cameras]
         if len(set(ids)) != len(ids):
             raise ConfigError("camera ids must be unique")
@@ -207,13 +213,13 @@ def _pose_at(spec: PersonSpec, t: float) -> Skeleton3D:
     return Skeleton3D(world, np.ones(JOINT_COUNT, dtype=bool), WORLD_FRAME)
 
 
-def look_at_extrinsic(position, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Camera->world extrinsic for a camera at ``position`` aimed at ``target``.
+def look_at_extrinsic(position, look_at, up=(0.0, 0.0, 1.0)) -> np.ndarray:
+    """Camera->world extrinsic for a camera at ``position`` aimed at ``look_at``.
 
     Optical axis +Z toward the target, +X right, +Y down (image convention).
     """
     position = np.asarray(position, dtype=float)
-    z = np.asarray(target, dtype=float) - position
+    z = np.asarray(look_at, dtype=float) - position
     norm = np.linalg.norm(z)
     if norm < 1e-12:
         raise ConfigError("camera position and look_at target coincide")
@@ -365,63 +371,90 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _point(value) -> np.ndarray:
+    p = _array(value)
+    if p.shape != (3,):
+        raise ValueError(f"expected [x, y, z], got shape {p.shape}")
+    return p
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# Key -> converter for every key a scenario entry may hold. Only the keys
+# present are passed on, so an optional key's default lives on its spec.
+_PERSON_KEYS = {
+    "waypoints": _array, "heading_deg": float, "swing_amplitude": float,
+    "swing_hz": float, "swing_phase": float,
+}
+_POSE_KEYS = {"extrinsic": _array, "position": _point, "look_at": _point, "up": _point}
+_INTRINSIC_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float}
+_CAMERA_KEYS = {
+    "width": int, "height": int, "frame_rate": float, "latency_jitter": _pair,
+    "pixel_sigma": float, "depth_sigma": float, "joint_dropout": float,
+    "detection_dropout": float, "splat_radius": float,
+}
+_SCENARIO_KEYS = {"seed": int, "duration": float}
+
+
+def _convert(d: dict, table: dict, where: str) -> dict:
+    out = {}
+    for key, convert in table.items():
+        if key in d:
+            try:
+                out[key] = convert(d[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where}: bad {key!r} value {d[key]!r}: {exc}") from exc
+    return out
+
+
+def _entries(d: dict, key: str) -> list:
+    entries = _require(d, key, "scenario")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"scenario: {key!r} must be a list of mappings")
+    return entries
+
+
 def person_from_dict(d: dict) -> PersonSpec:
     pid = str(_require(d, "id", "person"))
     where = f"person {pid!r}"
-    return PersonSpec(
-        person_id=pid,
-        waypoints=np.asarray(_require(d, "waypoints", where), dtype=float),
-        heading_deg=float(d.get("heading_deg", 0.0)),
-        swing_amplitude=float(d.get("swing_amplitude", 0.5)),
-        swing_hz=float(d.get("swing_hz", 1.4)),
-        swing_phase=float(d.get("swing_phase", 0.0)),
-    )
+    _require(d, "waypoints", where)
+    return PersonSpec(person_id=pid, **_convert(d, _PERSON_KEYS, where))
 
 
 def camera_from_dict(d: dict) -> CameraSpec:
     cid = str(_require(d, "id", "camera"))
     where = f"camera {cid!r}"
-    if "extrinsic" in d:
-        extrinsic = np.asarray(d["extrinsic"], dtype=float)
-    elif "position" in d and "look_at" in d:
-        extrinsic = look_at_extrinsic(d["position"], d["look_at"], d.get("up", (0.0, 0.0, 1.0)))
+    for key in (*_INTRINSIC_KEYS, "frame_rate"):
+        _require(d, key, where)
+    pose = _convert(d, _POSE_KEYS, where)
+    if "extrinsic" in pose:
+        extrinsic = pose["extrinsic"]
+    elif "position" in pose and "look_at" in pose:
+        extrinsic = look_at_extrinsic(**pose)
     else:
         raise ConfigError(f"{where}: provide either 'extrinsic' or 'position' + 'look_at'")
-    cam = CameraModel(
-        camera_id=cid,
-        fx=float(_require(d, "fx", where)),
-        fy=float(_require(d, "fy", where)),
-        cx=float(_require(d, "cx", where)),
-        cy=float(_require(d, "cy", where)),
-        extrinsic=extrinsic,
-    )
-    jitter = d.get("latency_jitter", (0.0, 0.0))
-    return CameraSpec(
-        camera=cam,
-        width=int(d.get("width", 640)),
-        height=int(d.get("height", 480)),
-        frame_rate=float(_require(d, "frame_rate", where)),
-        latency_jitter=(float(jitter[0]), float(jitter[1])),
-        pixel_sigma=float(d.get("pixel_sigma", 0.0)),
-        depth_sigma=float(d.get("depth_sigma", 0.0)),
-        joint_dropout=float(d.get("joint_dropout", 0.0)),
-        detection_dropout=float(d.get("detection_dropout", 0.0)),
-        splat_radius=float(d.get("splat_radius", DEFAULT_SPLAT_RADIUS_PX)),
-    )
+    cam = CameraModel(camera_id=cid, extrinsic=extrinsic, **_convert(d, _INTRINSIC_KEYS, where))
+    return CameraSpec(camera=cam, **_convert(d, _CAMERA_KEYS, where))
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     if not isinstance(d, dict):
         raise ConfigError("scenario file must hold a mapping at the top level")
-    persons = tuple(person_from_dict(p) for p in _require(d, "persons", "scenario"))
-    cameras = tuple(camera_from_dict(c) for c in _require(d, "cameras", "scenario"))
+    persons = tuple(person_from_dict(p) for p in _entries(d, "persons"))
+    cameras = tuple(camera_from_dict(c) for c in _entries(d, "cameras"))
     if not cameras:
         raise ConfigError("scenario: at least one camera is required")
+    for key in _SCENARIO_KEYS:
+        _require(d, key, "scenario")
     return ScenarioConfig(
-        seed=int(_require(d, "seed", "scenario")),
-        duration=float(_require(d, "duration", "scenario")),
-        persons=persons,
-        cameras=cameras,
+        persons=persons, cameras=cameras, **_convert(d, _SCENARIO_KEYS, "scenario")
     )
 
 

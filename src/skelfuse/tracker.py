@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import association, ukf
+from .errors import ConfigError
 from .model import JOINT_COUNT, WORLD_FRAME, DetectionSet, Skeleton3D, Timestamp
 from .ukf import FilterState, NoiseConfig
 
@@ -42,10 +43,12 @@ class TrackerConfig:
     stale_tolerance: float = 0.5
 
     def __post_init__(self):
-        if self.max_track_age <= 0:
-            raise ValueError("max_track_age must be positive")
-        if self.stale_tolerance < 0:
-            raise ValueError("stale_tolerance must be non-negative")
+        if not self.gating_eps > 0:
+            raise ConfigError("gating_eps must be positive")
+        if not self.max_track_age > 0:
+            raise ConfigError("max_track_age must be positive")
+        if not self.stale_tolerance >= 0:
+            raise ConfigError("stale_tolerance must be non-negative")
 
 
 @dataclass

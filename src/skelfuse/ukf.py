@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FilterNumericsError, TimeRegressionError
+from .errors import ConfigError, FilterNumericsError, TimeRegressionError
 from .model import Timestamp
 
 STATE_DIM = 6
@@ -51,9 +51,10 @@ class NoiseConfig:
     init_vel_sigma: float = 1.0
 
     def __post_init__(self):
-        if min(self.process_accel_sigma, self.meas_sigma, self.centroid_meas_sigma,
-               self.init_vel_sigma) <= 0:
-            raise ValueError("noise sigmas must be positive")
+        sigmas = (self.process_accel_sigma, self.meas_sigma, self.centroid_meas_sigma,
+                  self.init_vel_sigma)
+        if not all(0 < s < np.inf for s in sigmas):
+            raise ConfigError("noise sigmas must be positive and finite")
 
     def for_centroid(self) -> "NoiseConfig":
         """The config the centroid filter runs under (its own meas sigma)."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skelfuse import io
 from skelfuse.errors import ConfigError, FrameMismatchError
 from skelfuse.model import (
     CHEST,
@@ -117,15 +118,17 @@ def test_depth_map_size_invariant():
         DepthMap(4, 4, np.zeros(15))
 
 
-def test_serialization_roundtrips():
+def test_serialization_roundtrips(tmp_path):
     s3 = full_skeleton()
     assert Skeleton3D.from_dict(s3.to_dict()) == s3
 
     ds = DetectionSet("c0", 1.25, (s3, full_skeleton(base=(2, 0, 1))))
-    assert DetectionSet.from_dict(ds.to_dict()) == ds
+    io.write_detections(tmp_path / "stream.jsonl", [ds])
+    assert io.read_detections(tmp_path / "stream.jsonl") == [ds]
 
     cam = make_camera("k2", fx=365.1, fy=366.2, cx=255.5, cy=211.5)
-    assert CameraModel.from_dict(cam.to_dict()) == cam
+    io.write_calibration(tmp_path / "calibration.json", [cam])
+    assert io.read_calibration(tmp_path / "calibration.json") == {"k2": cam}
 
 
 def test_serialization_roundtrip_randomized():
