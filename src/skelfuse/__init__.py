@@ -11,9 +11,7 @@ from .model import (
     JOINT_COUNT,
     JOINT_NAMES,
     LIMB_JOINTS,
-    WORLD_FRAME,
     CameraModel,
-    DepthMap,
     DetectionSet,
     Skeleton2D,
     Skeleton3D,
@@ -29,9 +27,7 @@ __all__ = [
     "JOINT_COUNT",
     "JOINT_NAMES",
     "LIMB_JOINTS",
-    "WORLD_FRAME",
     "CameraModel",
-    "DepthMap",
     "DetectionSet",
     "FilterState",
     "FusedSnapshot",

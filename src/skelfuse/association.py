@@ -18,8 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import ukf
-from .errors import FrameMismatchError
-from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, WORLD_FRAME, DetectionSet, Skeleton3D
+from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, DetectionSet, Skeleton3D
 from .ukf import FilterState, NoiseConfig
 
 # Squared-Mahalanobis gate; 9.49 is the chi-square 95th percentile at 3 dof.
@@ -136,9 +135,6 @@ def data_association(
     """
     if eps <= 0:
         raise ValueError("gating threshold must be positive")
-    for s in dets.skeletons:
-        if s.frame != WORLD_FRAME:
-            raise FrameMismatchError("data association requires world-frame detections")
 
     cost = build_cost_matrix(
         [trk.centroid_filter for trk in tracks], dets.skeletons, dets.stamp, cfg

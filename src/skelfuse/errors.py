@@ -17,10 +17,6 @@ class OutOfImageError(SkelFuseError):
     """A pixel outside the image bounds was sampled (distinct from missing depth)."""
 
 
-class FrameMismatchError(SkelFuseError):
-    """A skeleton was used in a coordinate frame it is not tagged with."""
-
-
 class TimeRegressionError(SkelFuseError):
     """A timestamp moved backwards where monotonicity is required."""
 

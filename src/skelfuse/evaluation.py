@@ -27,9 +27,10 @@ from .model import (
     joint_name,
 )
 from .simulate import ScenarioConfig, run_scenario
-from .tracker import PoseTracker, TrackerConfig
+from .tracker import PoseTracker
 
 OVERFLOW_FLAG_PX = 100.0  # cells above this are flagged in the text table
+WARMUP_S = 1.0  # seconds of stream before the first scored sample
 
 
 def reprojection_error(
@@ -87,7 +88,7 @@ def maf_baseline(history: Sequence[Skeleton3D], k: int) -> list[Skeleton3D]:
             if est is not None:
                 joints[j] = est
                 valid[j] = True
-        out.append(Skeleton3D(joints, valid, skel.frame))
+        out.append(Skeleton3D(joints, valid))
     return out
 
 
@@ -186,22 +187,19 @@ def _nearest_skeleton(skeletons, point: np.ndarray):
 def evaluate(
     cfg: ScenarioConfig,
     camera_subsets: Sequence[Sequence[str]] | None = None,
-    methods: Sequence[str] = ("maf", "ours"),
     k_values: Sequence[int] = (30, 40),
     seeds: Sequence[int] | None = None,
     ref_camera_id: str | None = None,
-    warmup: float = 1.0,
-    tracker_config: TrackerConfig | None = None,
 ) -> EvalReport:
     """Run the full protocol over camera subsets, methods, and seeds.
 
     For every seed the scenario is simulated once; for every camera subset
-    the subset's arrival-ordered stream is replayed into a fresh tracker
-    ("ours") and into MAF_k windows, both sampled at the reference camera's
-    frame times after ``warmup``. The truth pixel is the simulator pose
-    projected into the reference camera. Samples where truth or a fused
-    joint falls behind the reference camera are excluded and counted.
-    Statistics pool all seeds.
+    the subset's arrival-ordered stream is replayed into a fresh tracker with
+    the default config ("ours") and into one MAF_k window per k in
+    ``k_values``, all sampled at the reference camera's frame times from
+    ``WARMUP_S`` on. The truth pixel is the simulator pose projected into the
+    reference camera. Samples where truth or a fused joint falls behind the
+    reference camera are excluded and counted. Statistics pool all seeds.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -227,11 +225,11 @@ def evaluate(
     sample_times = [
         k / ref_spec.frame_rate
         for k in range(math.ceil(cfg.duration * ref_spec.frame_rate))
-        if warmup <= k / ref_spec.frame_rate < cfg.duration
+        if WARMUP_S <= k / ref_spec.frame_rate < cfg.duration
     ]
 
     configs = [f"{len(s)}-cam" for s in camera_subsets]
-    method_labels = _method_labels(methods, k_values)
+    method_labels = _method_labels(k_values)
     acc: dict[tuple[str, str, int], _Accumulator] = {
         (c, m, j): _Accumulator()
         for c in configs
@@ -245,10 +243,7 @@ def evaluate(
         for subset, config_label in zip(camera_subsets, configs):
             subset_set = set(subset)
             sub_events = [e for e in events if e.detections.camera_id in subset_set]
-            _run_pass(
-                sub_events, gt, sample_times, ref_cam, config_label,
-                methods, k_values, acc, tracker_config,
-            )
+            _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc)
 
     cells = {key: a.cell() for key, a in acc.items()}
     return EvalReport(
@@ -266,32 +261,21 @@ def _default_subsets(camera_ids: list[str]) -> list[list[str]]:
     return subsets
 
 
-def _method_labels(methods, k_values) -> list[str]:
-    labels = []
-    if "maf" in methods:
-        labels += [f"MAF_{k}" for k in k_values]
-    if "ours" in methods:
-        labels.append("ours")
-    return labels
+def _method_labels(k_values) -> list[str]:
+    return [f"MAF_{k}" for k in k_values] + ["ours"]
 
 
-def _run_pass(
-    sub_events, gt, sample_times, ref_cam, config_label, methods, k_values, acc, tracker_config
-):
-    run_ours = "ours" in methods
-    run_maf = "maf" in methods
-    max_k = max(k_values) if (run_maf and k_values) else 0
-    tracker = PoseTracker(tracker_config or TrackerConfig()) if run_ours else None
+def _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc):
+    tracker = PoseTracker()
     person_ids = gt.person_ids
-    maf_windows = {pid: _JointWindows(max_k) for pid in person_ids}
+    maf_windows = {pid: _JointWindows(max(k_values, default=0)) for pid in person_ids}
 
     ei = 0
     for t_s in sample_times:
         while ei < len(sub_events) and sub_events[ei].arrival <= t_s:
             dets = sub_events[ei].detections
-            if run_ours:
-                tracker.ingest(dets)
-            if run_maf and dets.skeletons:
+            tracker.ingest(dets)
+            if k_values and dets.skeletons:
                 for pid in person_ids:
                     truth_chest = gt.truth_at(pid, dets.stamp).joints[CHEST]
                     skel = _nearest_skeleton(dets.skeletons, truth_chest)
@@ -299,11 +283,11 @@ def _run_pass(
                         maf_windows[pid].push(skel)
             ei += 1
 
-        snap = tracker.snapshot(t_s) if run_ours else None
+        snap = tracker.snapshot(t_s)
         for pid in person_ids:
             truth = gt.truth_at(pid, t_s)
             fused = None
-            if run_ours and snap.tracks:
+            if snap.tracks:
                 fused = _nearest_skeleton(
                     [tp.skeleton for tp in snap.tracks], truth.joints[CHEST]
                 )
@@ -313,22 +297,21 @@ def _run_pass(
                         geometry.world_to_camera(truth.joints[j], ref_cam), ref_cam
                     )
                 except BehindCameraError:
-                    for m in _method_labels(methods, k_values):
+                    for m in _method_labels(k_values):
                         acc[(config_label, m, j)].n_excluded += 1
                     continue
-                if run_ours and fused is not None and fused.valid[j]:
+                if fused is not None and fused.valid[j]:
                     try:
                         err = reprojection_error(fused.joints[j], p_star, ref_cam)
                         acc[(config_label, "ours", j)].errors.append(err)
                     except BehindCameraError:
                         acc[(config_label, "ours", j)].n_excluded += 1
-                if run_maf:
-                    for k in k_values:
-                        est = maf_windows[pid].mean(j, k)
-                        if est is None:
-                            continue
-                        try:
-                            err = reprojection_error(est, p_star, ref_cam)
-                            acc[(config_label, f"MAF_{k}", j)].errors.append(err)
-                        except BehindCameraError:
-                            acc[(config_label, f"MAF_{k}", j)].n_excluded += 1
+                for k in k_values:
+                    est = maf_windows[pid].mean(j, k)
+                    if est is None:
+                        continue
+                    try:
+                        err = reprojection_error(est, p_star, ref_cam)
+                        acc[(config_label, f"MAF_{k}", j)].errors.append(err)
+                    except BehindCameraError:
+                        acc[(config_label, f"MAF_{k}", j)].n_excluded += 1

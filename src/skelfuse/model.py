@@ -6,6 +6,10 @@ limb joints reported in evaluation tables, in right/left shoulder-elbow-wrist,
 hip-knee-ankle order. Indices 0 and 1 are head and neck. The topology is a
 module constant so an alternate joint set is a one-line change.
 
+All 3D joints are in the shared world frame (meters): lifting registers each
+skeleton through its camera's extrinsic before a ``Skeleton3D`` exists, so
+camera-frame coordinates never leave ``geometry`` and ``lifting``.
+
 All types here are immutable value objects; arrays are copied on construction
 and must not be mutated afterwards. Timestamps are seconds as plain floats,
 monotonic per camera; no cross-camera ordering is ever assumed.
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FrameMismatchError
+from .errors import ConfigError
 
 Timestamp = float
 
@@ -56,8 +60,6 @@ LIMB_JOINTS = (
     L_HIP, L_KNEE, L_ANKLE,
 )
 
-WORLD_FRAME = "world"
-
 
 def joint_name(joint_id: int) -> str:
     """Return the stable human-readable name of a joint index.
@@ -68,11 +70,6 @@ def joint_name(joint_id: int) -> str:
     if not 0 <= joint_id < JOINT_COUNT:
         raise IndexError(f"joint id {joint_id} out of range [0, {JOINT_COUNT})")
     return JOINT_NAMES[joint_id]
-
-
-def camera_frame(camera_id: str) -> str:
-    """Frame tag for a camera's local coordinate system."""
-    return f"camera:{camera_id}"
 
 
 def _as_matrix(extrinsic) -> np.ndarray:
@@ -90,7 +87,8 @@ class CameraModel:
 
     ``extrinsic`` maps homogeneous points in the camera frame to the world
     frame (rotation + translation, meters). The rotation block must be
-    orthonormal with determinant +1 (tolerance 1e-9).
+    orthonormal with determinant +1 (tolerance 1e-9). ``camera_from_world``
+    is its rigid inverse (world -> camera), computed once and read-only.
     """
 
     camera_id: str
@@ -99,6 +97,7 @@ class CameraModel:
     cx: float
     cy: float
     extrinsic: np.ndarray = field(default_factory=lambda: np.eye(4))
+    camera_from_world: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CameraModel):
@@ -122,19 +121,11 @@ class CameraModel:
             raise ConfigError(f"camera {self.camera_id!r}: extrinsic last row must be [0,0,0,1]")
         m.flags.writeable = False
         object.__setattr__(self, "extrinsic", m)
-
-    @property
-    def frame(self) -> str:
-        return camera_frame(self.camera_id)
-
-    def camera_from_world(self) -> np.ndarray:
-        """Rigid inverse of the extrinsic (world -> camera)."""
-        r = self.extrinsic[:3, :3]
-        t = self.extrinsic[:3, 3]
         inv = np.eye(4)
         inv[:3, :3] = r.T
-        inv[:3, 3] = -r.T @ t
-        return inv
+        inv[:3, 3] = -r.T @ m[:3, 3]
+        inv.flags.writeable = False
+        object.__setattr__(self, "camera_from_world", inv)
 
 
 def _joint_arrays(n_cols: int, coords, valid) -> tuple[np.ndarray, np.ndarray]:
@@ -152,29 +143,21 @@ def _joint_arrays(n_cols: int, coords, valid) -> tuple[np.ndarray, np.ndarray]:
 class Skeleton2D:
     """One person's raw 2D joint detections in pixel coordinates.
 
-    ``pixels`` is (15, 2), ``confidence`` (15,) in [0, 1], ``valid`` (15,)
-    bool. Invalid entries carry zeroed coordinates.
+    ``pixels`` is (15, 2), ``valid`` (15,) bool. Invalid entries carry zeroed
+    coordinates.
     """
 
     pixels: np.ndarray
-    confidence: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
         c, v = _joint_arrays(2, self.pixels, self.valid)
-        conf = np.array(self.confidence, dtype=float).reshape(JOINT_COUNT)
-        conf[~v] = 0.0
-        if np.any((conf < 0) | (conf > 1)):
-            raise ConfigError("confidence values must lie in [0, 1]")
-        conf.flags.writeable = False
         object.__setattr__(self, "pixels", c)
-        object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "valid", v)
 
     @classmethod
     def empty(cls) -> "Skeleton2D":
-        z = np.zeros((JOINT_COUNT, 2))
-        return cls(z, np.zeros(JOINT_COUNT), np.zeros(JOINT_COUNT, dtype=bool))
+        return cls(np.zeros((JOINT_COUNT, 2)), np.zeros(JOINT_COUNT, dtype=bool))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton2D):
@@ -182,45 +165,40 @@ class Skeleton2D:
         return (
             np.array_equal(self.valid, other.valid)
             and np.array_equal(self.pixels, other.pixels)
-            and np.array_equal(self.confidence, other.confidence)
         )
 
 
 @dataclass(frozen=True, eq=False)
 class Skeleton3D:
-    """One person's 3D joints (meters) tagged with a coordinate frame.
+    """One person's 3D joints in the world frame (meters).
 
-    ``frame`` is either ``"world"`` or ``"camera:<id>"``. Invalid entries
-    carry zeroed coordinates.
+    ``joints`` is (15, 3), ``valid`` (15,) bool. Invalid entries carry zeroed
+    coordinates.
     """
 
     joints: np.ndarray
     valid: np.ndarray
-    frame: str
 
     def __post_init__(self):
         c, v = _joint_arrays(3, self.joints, self.valid)
-        if not self.frame:
-            raise ConfigError("skeleton frame tag must be set")
         object.__setattr__(self, "joints", c)
         object.__setattr__(self, "valid", v)
 
     @classmethod
-    def from_joints(cls, joints: dict[int, np.ndarray] | None, frame: str) -> "Skeleton3D":
+    def from_joints(cls, joints: dict[int, np.ndarray] | None) -> "Skeleton3D":
         """Build from a sparse {joint_id: xyz} mapping; absent joints are invalid."""
         c = np.zeros((JOINT_COUNT, 3))
         v = np.zeros(JOINT_COUNT, dtype=bool)
         for i, p in (joints or {}).items():
             c[i] = p
             v[i] = True
-        return cls(c, v, frame)
+        return cls(c, v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton3D):
             return NotImplemented
         return (
-            self.frame == other.frame
-            and np.array_equal(self.valid, other.valid)
+            np.array_equal(self.valid, other.valid)
             and np.array_equal(self.joints, other.joints)
         )
 
@@ -245,7 +223,7 @@ class Skeleton3D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Skeleton3D":
-        """Parse the world-frame joint record that stream and snapshot lines embed.
+        """Parse the joint record that stream and snapshot lines embed.
 
         Other keys (a snapshot's ``track_id``, ``cov_trace``) are ignored. A
         joint id that is not an int in ``[0, JOINT_COUNT)``, or that repeats,
@@ -264,34 +242,7 @@ class Skeleton3D:
             if entry.get("valid"):
                 c[i] = (float(entry["x"]), float(entry["y"]), float(entry["z"]))
                 v[i] = True
-        return cls(c, v, WORLD_FRAME)
-
-
-@dataclass(frozen=True, eq=False)
-class DepthMap:
-    """Dense depth samples in meters; 0 or NaN mean missing (Kinect convention)."""
-
-    width: int
-    height: int
-    values: np.ndarray  # shape (height, width), row-major
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size != self.width * self.height:
-            raise ConfigError(
-                f"depth map has {v.size} values, expected {self.width}x{self.height}"
-            )
-        v = v.reshape(self.height, self.width)
-        object.__setattr__(self, "values", v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DepthMap):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.values, other.values, equal_nan=True)
-        )
+        return cls(c, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +255,6 @@ class DetectionSet:
 
     def __post_init__(self):
         sk = tuple(self.skeletons)
-        for s in sk:
-            if s.frame != WORLD_FRAME:
-                raise FrameMismatchError(
-                    f"detection sets must hold world-frame skeletons, got {s.frame!r}"
-                )
         if not 0.0 <= self.stamp < np.inf:
             raise ConfigError(f"timestamps must be finite and non-negative, got {self.stamp}")
         object.__setattr__(self, "skeletons", sk)

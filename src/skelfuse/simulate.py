@@ -40,9 +40,7 @@ from .model import (
     R_KNEE,
     R_SHOULDER,
     R_WRIST,
-    WORLD_FRAME,
     CameraModel,
-    DepthMap,
     DetectionSet,
     Skeleton2D,
     Skeleton3D,
@@ -210,7 +208,7 @@ def _pose_at(spec: PersonSpec, t: float) -> Skeleton3D:
         + local[:, 1:2] * fwd
         + local[:, 2:3] * up
     )
-    return Skeleton3D(world, np.ones(JOINT_COUNT, dtype=bool), WORLD_FRAME)
+    return Skeleton3D(world, np.ones(JOINT_COUNT, dtype=bool))
 
 
 def look_at_extrinsic(position, look_at, up=(0.0, 0.0, 1.0)) -> np.ndarray:
@@ -259,22 +257,22 @@ def _splat_disk(
 
 def render_detection(
     gt: GroundTruth, spec: CameraSpec, t: float, rng: np.random.Generator
-) -> tuple[list[Skeleton2D], list[DepthMap]] | None:
+) -> tuple[list[Skeleton2D], list[np.ndarray]] | None:
     """Synthesize one camera frame: per-person noisy 2D skeletons + depth maps.
 
     Joints behind the camera or outside the image come out invalid, as do
     dropout-sampled joints; with probability ``detection_dropout`` the whole
-    frame yields None. Each person gets their own sparse depth map with depth
-    splatted in disks around that person's true joint projections, elsewhere
-    missing; within a person, overlapping splats resolve to the nearest joint
-    center. Persons never contaminate each other's depth — occlusion between
+    frame yields None. Each person gets their own sparse (height, width) depth
+    map with depth splatted in disks around that person's true joint
+    projections, elsewhere missing (NaN); within a person, overlapping splats
+    resolve to the nearest joint center. Persons never contaminate each other's depth — occlusion between
     persons is out of scope here, dropout probability stands in for it.
     """
     if rng.random() < spec.detection_dropout:
         return None
     cam = spec.camera
     w, h = spec.width, spec.height
-    cam_from_world = cam.camera_from_world()
+    cam_from_world = cam.camera_from_world
 
     skeletons = []
     depth_maps = []
@@ -285,7 +283,6 @@ def render_detection(
         depth = np.full((h, w), np.nan)
         best_d2 = np.full((h, w), np.inf)
         pixels = np.zeros((JOINT_COUNT, 2))
-        conf = np.zeros(JOINT_COUNT)
         valid = np.zeros(JOINT_COUNT, dtype=bool)
         for j in range(JOINT_COUNT):
             p_cam = geometry.transform_point(truth.joints[j], cam_from_world)
@@ -301,14 +298,13 @@ def render_detection(
             if drops[j] < spec.joint_dropout:
                 continue
             pixels[j] = (nx, ny)
-            conf[j] = 1.0
             valid[j] = True
         holes = np.isfinite(depth)
         n = int(np.count_nonzero(holes))
         if n:
             depth[holes] += rng.normal(0.0, spec.depth_sigma, size=n)
-        skeletons.append(Skeleton2D(pixels, conf, valid))
-        depth_maps.append(DepthMap(w, h, depth))
+        skeletons.append(Skeleton2D(pixels, valid))
+        depth_maps.append(depth)
     return skeletons, depth_maps
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import association, ukf
 from .errors import ConfigError
-from .model import JOINT_COUNT, WORLD_FRAME, DetectionSet, Skeleton3D, Timestamp
+from .model import JOINT_COUNT, DetectionSet, Skeleton3D, Timestamp
 from .ukf import FilterState, NoiseConfig
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,6 @@ class Track:
     track_id: int
     centroid_filter: FilterState
     joint_filters: list[FilterState | None]
-    created_at: Timestamp
     last_seen: Timestamp
     hits: int = 1
     missed_updates: int = 0
@@ -171,7 +170,7 @@ class PoseTracker:
                 traces[j] = float(np.trace(predicted.position_cov()))
             poses.append(TrackPose(
                 track_id=track.track_id,
-                skeleton=Skeleton3D(joints, valid, WORLD_FRAME),
+                skeleton=Skeleton3D(joints, valid),
                 cov_traces=tuple(traces),
             ))
         poses.sort(key=lambda p: p.track_id)
@@ -215,7 +214,6 @@ class PoseTracker:
             track_id=self._next_id,
             centroid_filter=ukf.init_filter(cent, t, self._centroid_noise),
             joint_filters=joint_filters,
-            created_at=t,
             last_seen=t,
         )
         self._next_id += 1

@@ -118,17 +118,23 @@ def predict(s: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
 
     Raises:
         TimeRegressionError: if ``t`` precedes ``s.last_update``.
+        FilterNumericsError: if ``t - s.last_update`` is too large for Q(dt)
+            to be a finite float (about 6e102 s at the default sigma).
     """
     dt = t - s.last_update
     if dt < 0:
         raise TimeRegressionError(f"predict to {t} before last update {s.last_update}")
     if dt == 0.0:
         return FilterState(mean=s.mean.copy(), cov=s.cov.copy(), last_update=t)
+    try:
+        Q = process_noise(dt, cfg.process_accel_sigma)
+    except OverflowError as exc:
+        raise FilterNumericsError(f"process noise overflows over a {dt} s prediction") from exc
 
     F = np.eye(STATE_DIM)
     F[0, 3] = F[1, 4] = F[2, 5] = dt
     mean = F @ s.mean
-    cov = F @ s.cov @ F.T + process_noise(dt, cfg.process_accel_sigma)
+    cov = F @ s.cov @ F.T + Q
     return FilterState(mean=mean, cov=_check_valid(cov), last_update=t)
 
 

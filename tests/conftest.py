@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from skelfuse.model import JOINT_COUNT, CameraModel, Skeleton3D, WORLD_FRAME
+from skelfuse.model import JOINT_COUNT, CameraModel, Skeleton3D
 from skelfuse.simulate import CameraSpec, PersonSpec, ScenarioConfig, look_at_extrinsic
 
 
@@ -20,15 +20,15 @@ def make_camera_spec(camera_id="cam", position=(4.0, 0.0, 1.6), target=(0.0, 0.0
     return CameraSpec(camera=cam, **kwargs)
 
 
-def full_skeleton(base=(0.0, 0.0, 1.0), frame=WORLD_FRAME) -> Skeleton3D:
+def full_skeleton(base=(0.0, 0.0, 1.0)) -> Skeleton3D:
     """All 15 joints valid, spread deterministically around ``base``."""
     rng = np.random.default_rng(0)
     joints = np.asarray(base, dtype=float) + 0.2 * rng.standard_normal((JOINT_COUNT, 3))
-    return Skeleton3D(joints, np.ones(JOINT_COUNT, dtype=bool), frame)
+    return Skeleton3D(joints, np.ones(JOINT_COUNT, dtype=bool))
 
 
-def sparse_skeleton(points: dict[int, tuple], frame=WORLD_FRAME) -> Skeleton3D:
-    return Skeleton3D.from_joints({i: np.asarray(p, dtype=float) for i, p in points.items()}, frame)
+def sparse_skeleton(points: dict[int, tuple]) -> Skeleton3D:
+    return Skeleton3D.from_joints({i: np.asarray(p, dtype=float) for i, p in points.items()})
 
 
 def walking_scenario(seed=11, duration=4.0, n_cameras=2, persons=None, **camera_kwargs

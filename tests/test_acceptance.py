@@ -14,9 +14,9 @@ import numpy as np
 from skelfuse.association import build_cost_matrix, data_association, munkres
 from skelfuse.cli import main
 from skelfuse.evaluation import evaluate
-from skelfuse.geometry import back_project, median_depth, project
+from skelfuse.geometry import back_project, median_depth, project, world_to_camera
 from skelfuse.lifting import lift_skeleton
-from skelfuse.model import JOINT_COUNT, LIMB_JOINTS, DepthMap
+from skelfuse.model import JOINT_COUNT, LIMB_JOINTS
 from skelfuse.simulate import GroundTruth, load_scenario, bundled_scenario_path, render_detection, run_scenario
 from skelfuse.tracker import PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig, init_filter, predict, update
@@ -122,7 +122,7 @@ def test_criterion_3_geometry_roundtrips():
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
-                px, _ = project(s3d.joints[j], spec.camera)
+                px, _ = project(world_to_camera(s3d.joints[j], spec.camera), spec.camera)
                 err = math.hypot(px.x - s2d.pixels[j, 0], px.y - s2d.pixels[j, 1])
                 worst_px = max(worst_px, err)
                 checked += 1
@@ -146,7 +146,7 @@ def test_criterion_4_median_depth_brute_force():
         vals = rng.uniform(0.05, 8.0, size=(h, w))
         vals[rng.random((h, w)) < 0.25] = np.nan
         vals[rng.random((h, w)) < 0.15] = 0.0
-        dm = DepthMap(w, h, vals)
+        dm = vals
         p = (float(rng.uniform(0, w - 1e-9)), float(rng.uniform(0, h - 1e-9)))
         r = float(rng.uniform(0.5, 5.0))
         assert median_depth(dm, p, r) == _brute_force_median(dm, p, r)

@@ -139,7 +139,7 @@ def _noiseless_line_scenario(n_cameras=1):
 
 def test_evaluate_noiseless_single_camera_subpixel():
     cfg = _noiseless_line_scenario(n_cameras=1)
-    report = evaluate(cfg, camera_subsets=[["c0"]], methods=("ours",), k_values=())
+    report = evaluate(cfg, camera_subsets=[["c0"]], k_values=())
     for j in LIMB_JOINTS:
         cell = report.cells[("1-cam", "ours", j)]
         assert cell.n_samples > 0
@@ -179,9 +179,8 @@ def test_evaluate_report_structure_and_rendering():
 
 def test_evaluate_seed_pooling_changes_counts():
     cfg = walking_scenario(duration=3.0, n_cameras=1, pixel_sigma=1.0)
-    r1 = evaluate(cfg, camera_subsets=[["c0"]], methods=("ours",), k_values=())
-    r2 = evaluate(cfg, camera_subsets=[["c0"]], methods=("ours",), k_values=(),
-                  seeds=[cfg.seed, cfg.seed + 1])
+    r1 = evaluate(cfg, camera_subsets=[["c0"]], k_values=())
+    r2 = evaluate(cfg, camera_subsets=[["c0"]], k_values=(), seeds=[cfg.seed, cfg.seed + 1])
     j = LIMB_JOINTS[0]
     assert r2.cells[("1-cam", "ours", j)].n_samples > r1.cells[("1-cam", "ours", j)].n_samples
 

@@ -1,18 +1,13 @@
-"""Tests for projection, back-projection, median depth, and frame transforms."""
+"""Tests for projection, back-projection, median depth, and registration."""
 
 import math
 
 import numpy as np
 import pytest
 
-from skelfuse.errors import (
-    BehindCameraError,
-    FrameMismatchError,
-    InvalidDepthError,
-    OutOfImageError,
-)
-from skelfuse.geometry import back_project, median_depth, project, transform_skeleton
-from skelfuse.model import JOINT_COUNT, WORLD_FRAME, DepthMap, Skeleton3D
+from skelfuse.errors import BehindCameraError, InvalidDepthError, OutOfImageError
+from skelfuse.geometry import back_project, median_depth, project, to_world
+from skelfuse.model import JOINT_COUNT
 
 from conftest import make_camera, sparse_skeleton
 
@@ -82,8 +77,7 @@ def test_project_back_project_roundtrip_randomized():
 # --- median_depth ------------------------------------------------------------
 
 def _depth_map(values):
-    arr = np.asarray(values, dtype=float)
-    return DepthMap(arr.shape[1], arr.shape[0], arr)
+    return np.asarray(values, dtype=float)
 
 
 def test_median_depth_uniform_map():
@@ -133,10 +127,11 @@ def test_median_depth_lower_median_on_even_count():
 def _brute_force_median(dm, p, radius):
     """Sort-and-pick oracle over the full pixel grid."""
     samples = []
-    for iy in range(dm.height):
-        for ix in range(dm.width):
+    h, w = dm.shape
+    for iy in range(h):
+        for ix in range(w):
             if (ix - p[0]) ** 2 + (iy - p[1]) ** 2 < radius**2:
-                v = dm.values[iy, ix]
+                v = dm[iy, ix]
                 if np.isfinite(v) and v > 0:
                     samples.append(v)
     if not samples:
@@ -152,7 +147,7 @@ def test_median_depth_matches_brute_force_randomized():
         vals = rng.uniform(0.1, 6.0, size=(h, w))
         vals[rng.random((h, w)) < 0.3] = np.nan
         vals[rng.random((h, w)) < 0.2] = 0.0
-        dm = DepthMap(int(w), int(h), vals)
+        dm = vals
         p = (rng.uniform(0, w - 1e-9), rng.uniform(0, h - 1e-9))
         r = rng.uniform(0.5, 4.0)
         assert median_depth(dm, p, r) == _brute_force_median(dm, p, r)
@@ -194,24 +189,26 @@ def test_median_depth_single_extreme_outlier_invariant():
         assert median_depth(_depth_map(vals_lo), (2.0, 2.0), 4.0) == base
 
 
-# --- transform_skeleton -------------------------------------------------------
+# --- to_world ------------------------------------------------------------------
+
+def _to_world(points: dict[int, tuple], cam) -> np.ndarray:
+    """``to_world`` of sparse camera-frame joints; absent joints are invalid."""
+    s = sparse_skeleton(points)
+    return to_world(s.joints, s.valid, cam)
+
 
 def test_transform_identity_retags_frame():
-    cam = make_camera("c9")
-    s = sparse_skeleton({0: (0.5, -0.25, 2.0), 14: (0.0, 0.0, 3.0)}, frame=cam.frame)
-    out = transform_skeleton(s, cam)
-    assert out.frame == WORLD_FRAME
-    assert np.array_equal(out.joints, s.joints)
-    assert np.array_equal(out.valid, s.valid)
+    # An identity extrinsic makes camera-frame joints world-frame as they are.
+    points = {0: (0.5, -0.25, 2.0), 14: (0.0, 0.0, 3.0)}
+    assert np.array_equal(_to_world(points, make_camera("c9")), sparse_skeleton(points).joints)
 
 
 def test_transform_pure_translation():
     m = np.eye(4)
     m[:3, 3] = (1.0, 2.0, 3.0)
     cam = make_camera("c1", extrinsic=m)
-    s = sparse_skeleton({4: (0.0, 0.0, 1.0)}, frame=cam.frame)
-    out = transform_skeleton(s, cam)
-    assert np.allclose(out.joints[4], [1.0, 2.0, 4.0])
+    out = _to_world({4: (0.0, 0.0, 1.0)}, cam)
+    assert np.allclose(out[4], [1.0, 2.0, 4.0])
 
 
 def test_transform_rotation_plus_translation_oracle():
@@ -220,17 +217,9 @@ def test_transform_rotation_plus_translation_oracle():
     m[:3, :3] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     m[:3, 3] = (1.0, 2.0, 3.0)
     cam = make_camera("c1", extrinsic=m)
-    s = sparse_skeleton({7: (1.0, 0.0, 1.0)}, frame=cam.frame)
-    out = transform_skeleton(s, cam)
+    out = _to_world({7: (1.0, 0.0, 1.0)}, cam)
     # R @ (1,0,1) = (0,1,1); + t = (1,3,4)
-    assert np.allclose(out.joints[7], [1.0, 3.0, 4.0], atol=1e-12)
-
-
-def test_transform_frame_mismatch():
-    cam = make_camera("c1")
-    s = sparse_skeleton({0: (0, 0, 1)}, frame="camera:other")
-    with pytest.raises(FrameMismatchError):
-        transform_skeleton(s, cam)
+    assert np.allclose(out[7], [1.0, 3.0, 4.0], atol=1e-12)
 
 
 def test_transform_preserves_validity_mask_and_distances():
@@ -245,12 +234,11 @@ def test_transform_preserves_validity_mask_and_distances():
 
     joints = rng.uniform(-2, 2, size=(JOINT_COUNT, 3))
     valid = rng.random(JOINT_COUNT) < 0.6
-    s = Skeleton3D(joints, valid, cam.frame)
-    out = transform_skeleton(s, cam)
-    assert np.array_equal(out.valid, valid)
+    out = to_world(joints, valid, cam)
+    assert not out[~valid].any()
     idx = np.flatnonzero(valid)
     for a in idx:
         for b in idx:
-            d_in = np.linalg.norm(s.joints[a] - s.joints[b])
-            d_out = np.linalg.norm(out.joints[a] - out.joints[b])
+            d_in = np.linalg.norm(joints[a] - joints[b])
+            d_out = np.linalg.norm(out[a] - out[b])
             assert abs(d_in - d_out) < 1e-9

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from skelfuse import io
 from skelfuse.cli import main
-from skelfuse.model import JOINT_COUNT, WORLD_FRAME, DetectionSet, Skeleton3D
+from skelfuse.model import JOINT_COUNT, DetectionSet, Skeleton3D
 
 from conftest import make_camera
 
@@ -46,7 +46,7 @@ def _valid_text() -> str:
     sets = [
         DetectionSet("c0", stamp, (Skeleton3D(
             np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal((JOINT_COUNT, 3)),
-            valid, WORLD_FRAME),))
+            valid),))
         for stamp in (0.1, 0.2)
     ]
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,6 +120,16 @@ def test_bad_calibration_exits_2(case, tmp_path):
     _set(calib, *CALIBRATION_CASES[case])
     assert _track(tmp_path, stream, calib) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gap", [1e110, 1e300])
+def test_huge_stamp_gap_exits_2(gap, tmp_path, capsys):
+    # Stamps [0, gap]: the process noise over the gap overflows a float.
+    stream, calib = _valid_inputs()
+    stream[0]["stamp"], stream[1]["stamp"] = 0.0, gap
+    assert _track(tmp_path, stream, calib) == 2
+    assert not (tmp_path / "out").exists()
+    assert "process noise overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from skelfuse.geometry import project, transform_skeleton
+from skelfuse.geometry import project, world_to_camera
 from skelfuse.lifting import lift_skeleton, make_detection_set
-from skelfuse.model import JOINT_COUNT, WORLD_FRAME, DepthMap, Skeleton2D
+from skelfuse.model import JOINT_COUNT, Skeleton2D
 from skelfuse.simulate import GroundTruth, render_detection
 
 from conftest import make_camera, make_camera_spec, walking_scenario
@@ -13,24 +13,22 @@ from conftest import make_camera, make_camera_spec, walking_scenario
 
 def _skeleton2d(points: dict[int, tuple]) -> Skeleton2D:
     px = np.zeros((JOINT_COUNT, 2))
-    conf = np.zeros(JOINT_COUNT)
     valid = np.zeros(JOINT_COUNT, dtype=bool)
     for i, p in points.items():
         px[i] = p
-        conf[i] = 1.0
         valid[i] = True
-    return Skeleton2D(px, conf, valid)
+    return Skeleton2D(px, valid)
 
 
 def _uniform_depth(w, h, value):
-    return DepthMap(w, h, np.full((h, w), float(value)))
+    return np.full((h, w), float(value))
 
 
 def test_lift_all_invalid_stays_invalid():
     cam = make_camera()
     s = lift_skeleton(Skeleton2D.empty(), _uniform_depth(640, 480, 2.0), cam)
     assert s.n_valid == 0
-    assert s.frame == cam.frame
+    assert not s.joints.any()
 
 
 def test_lift_joint_at_principal_point():
@@ -45,9 +43,8 @@ def test_lift_missing_depth_invalidates_joint():
     cam = make_camera()
     vals = np.full((480, 640), np.nan)
     vals[100:120, 100:120] = 1.5
-    dm = DepthMap(640, 480, vals)
     s2d = _skeleton2d({0: (110.0, 110.0), 1: (400.0, 400.0)})
-    s3d = lift_skeleton(s2d, dm, cam)
+    s3d = lift_skeleton(s2d, vals, cam)
     assert s3d.valid[0]
     assert not s3d.valid[1]
 
@@ -61,7 +58,8 @@ def test_lift_out_of_image_joint_invalid_not_fatal():
 
 
 def test_lift_project_roundtrip_on_rendered_skeletons():
-    # Every lifted joint must reproject onto its detected pixel and depth.
+    # Every lifted joint, taken back into the camera frame, must reproject
+    # onto its detected pixel and depth.
     spec = make_camera_spec(pixel_sigma=2.0, depth_sigma=0.02, splat_radius=6.0)
     cfg = walking_scenario()
     gt = GroundTruth(cfg.persons, cfg.duration)
@@ -74,10 +72,11 @@ def test_lift_project_roundtrip_on_rendered_skeletons():
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
-                px, depth = project(s3d.joints[j], spec.camera)
+                p_cam = world_to_camera(s3d.joints[j], spec.camera)
+                px, depth = project(p_cam, spec.camera)
                 assert abs(px.x - s2d.pixels[j, 0]) < 0.5
                 assert abs(px.y - s2d.pixels[j, 1]) < 0.5
-                assert s3d.joints[j][2] == depth
+                assert p_cam[2] == depth
                 checked += 1
     assert checked > 20
 
@@ -107,7 +106,6 @@ def test_make_detection_set_identity_extrinsic():
     s2d = _skeleton2d({3: (320.0, 240.0)})
     ds = make_detection_set([s2d], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
     assert len(ds.skeletons) == 1
-    assert ds.skeletons[0].frame == WORLD_FRAME
     assert np.allclose(ds.skeletons[0].joints[3], [0.0, 0.0, 2.0])
 
 
@@ -123,7 +121,7 @@ def test_make_detection_set_drops_all_invalid_skeletons():
 
 def test_make_detection_set_matches_per_skeleton_transform():
     # Two persons through a rotated+translated camera, each with its own depth
-    # map, equals independent lift + transform composition.
+    # map: every valid joint is the back-projected pixel p mapped to R p + t.
     m = np.eye(4)
     m[:3, :3] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     m[:3, 3] = (0.5, -1.0, 0.25)
@@ -132,9 +130,14 @@ def test_make_detection_set_matches_per_skeleton_transform():
     a = _skeleton2d({0: (300.0, 200.0), 1: (350.0, 260.0)})
     b = _skeleton2d({14: (100.0, 100.0)})
     ds = make_detection_set([a, b], dms, cam, stamp=0.0)
-    for got, s2d, dm in zip(ds.skeletons, (a, b), dms):
-        expect = transform_skeleton(lift_skeleton(s2d, dm, cam), cam)
-        assert got == expect
+    assert len(ds.skeletons) == 2
+    for got, s2d, z in zip(ds.skeletons, (a, b), (3.0, 2.0)):
+        assert np.array_equal(got.valid, s2d.valid)
+        assert not got.joints[~got.valid].any()
+        for j in np.flatnonzero(s2d.valid):
+            u, v = s2d.pixels[j]
+            p = np.array([(u - 320.0) * z / 500.0, (v - 240.0) * z / 500.0, z])
+            assert np.allclose(got.joints[j], m[:3, :3] @ p + m[:3, 3], atol=1e-12)
 
 
 def test_make_detection_set_requires_one_depth_map_per_skeleton():

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from skelfuse import io
-from skelfuse.errors import ConfigError, FrameMismatchError
+from skelfuse.errors import ConfigError
 from skelfuse.model import (
     CHEST,
     JOINT_COUNT,
     LIMB_JOINTS,
-    WORLD_FRAME,
     CameraModel,
-    DepthMap,
     DetectionSet,
-    Skeleton2D,
     Skeleton3D,
-    camera_frame,
     joint_name,
 )
 
@@ -76,14 +72,15 @@ def test_camera_model_inverse_roundtrip():
     m[:3, :3] = q
     m[:3, 3] = rng.standard_normal(3)
     cam = make_camera(extrinsic=m)
-    assert np.allclose(cam.camera_from_world() @ cam.extrinsic, np.eye(4), atol=1e-12)
+    assert np.allclose(cam.camera_from_world @ cam.extrinsic, np.eye(4), atol=1e-12)
+    assert not cam.camera_from_world.flags.writeable
 
 
 def test_skeleton3d_zeroes_invalid_coords():
     joints = np.ones((JOINT_COUNT, 3))
     valid = np.zeros(JOINT_COUNT, dtype=bool)
     valid[0] = True
-    s = Skeleton3D(joints, valid, WORLD_FRAME)
+    s = Skeleton3D(joints, valid)
     assert np.all(s.joints[1:] == 0.0)
     assert np.all(s.joints[0] == 1.0)
 
@@ -94,28 +91,7 @@ def test_skeleton3d_rejects_nonfinite_valid_joint():
     valid = np.zeros(JOINT_COUNT, dtype=bool)
     valid[2] = True
     with pytest.raises(ConfigError):
-        Skeleton3D(joints, valid, WORLD_FRAME)
-
-
-def test_skeleton2d_confidence_bounds():
-    px = np.zeros((JOINT_COUNT, 2))
-    conf = np.zeros(JOINT_COUNT)
-    conf[0] = 1.5
-    valid = np.zeros(JOINT_COUNT, dtype=bool)
-    valid[0] = True
-    with pytest.raises(ConfigError):
-        Skeleton2D(px, conf, valid)
-
-
-def test_detection_set_requires_world_frame():
-    s = full_skeleton(frame=camera_frame("c0"))
-    with pytest.raises(FrameMismatchError):
-        DetectionSet("c0", 0.0, (s,))
-
-
-def test_depth_map_size_invariant():
-    with pytest.raises(ConfigError):
-        DepthMap(4, 4, np.zeros(15))
+        Skeleton3D(joints, valid)
 
 
 def test_serialization_roundtrips(tmp_path):
@@ -136,5 +112,5 @@ def test_serialization_roundtrip_randomized():
     for _ in range(50):
         joints = rng.uniform(-5, 5, size=(JOINT_COUNT, 3))
         valid = rng.random(JOINT_COUNT) < 0.7
-        s = Skeleton3D(joints, valid, WORLD_FRAME)
+        s = Skeleton3D(joints, valid)
         assert Skeleton3D.from_dict(s.to_dict()) == s

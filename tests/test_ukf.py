@@ -11,7 +11,7 @@ import pytest
 
 from skelfuse.association import build_cost_matrix
 from skelfuse.errors import TimeRegressionError
-from skelfuse.model import CHEST, WORLD_FRAME, Skeleton3D
+from skelfuse.model import CHEST, Skeleton3D
 from skelfuse.ukf import (
     FilterState,
     NoiseConfig,
@@ -79,7 +79,7 @@ CFG = NoiseConfig()
 
 def innovation_cost(s, z, t, cfg=CFG):
     """Cost of one chest-only detection at ``z`` against track filter ``s`` at ``t``."""
-    det = Skeleton3D.from_joints({CHEST: np.asarray(z, dtype=float)}, WORLD_FRAME)
+    det = Skeleton3D.from_joints({CHEST: np.asarray(z, dtype=float)})
     return float(build_cost_matrix([s], [det], t, cfg)[0, 0])
 
 
