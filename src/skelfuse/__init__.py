@@ -13,7 +13,6 @@ from .model import (
     LIMB_JOINTS,
     CameraModel,
     DetectionSet,
-    Skeleton2D,
     Skeleton3D,
     joint_name,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FusedSnapshot",
     "NoiseConfig",
     "PoseTracker",
-    "Skeleton2D",
     "Skeleton3D",
     "Track",
     "TrackEvent",

@@ -3,8 +3,8 @@
 The pinhole model maps a camera-frame point P = (X, Y, Z) to the pixel
 p = (fx*X/Z + cx, fy*Y/Z + cy) with depth Z; back-projection is its exact
 algebraic inverse. Depth for a 2D joint is recovered robustly as the median
-over a small pixel disk of the depth image, which rejects single outliers
-and tolerates missing samples.
+over a small pixel disk of the depth image (:func:`disk_window`), which
+rejects single outliers and tolerates missing samples.
 
 Camera-frame coordinates live only in these functions' plain arrays:
 :func:`to_world` registers a lifted (15, 3) joint array into the world frame,
@@ -43,22 +43,48 @@ def project(point_cam: np.ndarray, cam: CameraModel) -> tuple[Pixel, float]:
     return Pixel(cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy), z
 
 
-def back_project(p: Pixel | tuple[float, float], depth: float, cam: CameraModel) -> np.ndarray:
-    """Lift a pixel at a known depth back to a camera-frame 3D point.
+def back_project(
+    p: np.ndarray | tuple[float, float], depth: np.ndarray | float, cam: CameraModel
+) -> np.ndarray:
+    """Lift pixels at known depths back to camera-frame 3D points.
 
+    ``p`` holds (..., 2) pixels and ``depth`` the matching (...) depths; the
+    result is (..., 3), so one pixel and a scalar depth give one (3,) point.
     Exact inverse of :func:`project` for positive depth.
 
     Raises:
-        InvalidDepthError: if ``depth`` is not positive and finite.
+        InvalidDepthError: if any depth is not positive and finite.
     """
-    if not (depth > 0.0 and math.isfinite(depth)):
-        raise InvalidDepthError(f"depth must be positive and finite, got {depth}")
-    x, y = float(p[0]), float(p[1])
-    return np.array([
-        (x - cam.cx) * depth / cam.fx,
-        (y - cam.cy) * depth / cam.fy,
-        depth,
-    ])
+    p = np.asarray(p, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    if not ((depth > 0.0) & (depth < math.inf)).all():
+        raise InvalidDepthError(f"depths must be positive and finite, got {depth}")
+    out = np.empty(depth.shape + (3,))
+    out[..., 0] = (p[..., 0] - cam.cx) * depth / cam.fx
+    out[..., 1] = (p[..., 1] - cam.cy) * depth / cam.fy
+    out[..., 2] = depth
+    return out
+
+
+def disk_window(
+    shape: tuple[int, int], x: float, y: float, radius: float
+) -> tuple[slice, slice, np.ndarray] | None:
+    """The integer pixels near (x, y), clipped to an image of ``shape``.
+
+    Returns the row and column slices of the window holding every pixel
+    within ``radius`` of (x, y) and the window's squared distances ``d2`` to
+    (x, y); the disk itself is ``d2 < radius**2``. Returns None when the
+    window misses the image.
+    """
+    h, w = shape
+    x0 = max(0, math.ceil(x - radius))
+    x1 = min(w - 1, math.floor(x + radius))
+    y0 = max(0, math.ceil(y - radius))
+    y1 = min(h - 1, math.floor(y + radius))
+    if x0 > x1 or y0 > y1:
+        return None
+    d2 = (np.arange(x0, x1 + 1)[None, :] - x) ** 2 + (np.arange(y0, y1 + 1)[:, None] - y) ** 2
+    return slice(y0, y1 + 1), slice(x0, x1 + 1), d2
 
 
 def median_depth(
@@ -87,27 +113,16 @@ def median_depth(
     if not (0.0 <= x < w and 0.0 <= y < h):
         raise OutOfImageError(f"pixel ({x}, {y}) outside {w}x{h} image")
 
-    x0 = max(0, math.ceil(x - radius_px))
-    x1 = min(w - 1, math.floor(x + radius_px))
-    y0 = max(0, math.ceil(y - radius_px))
-    y1 = min(h - 1, math.floor(y + radius_px))
-    if x0 > x1 or y0 > y1:
+    found = disk_window(depth.shape, x, y, radius_px)
+    if found is None:
         return None
-
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    d2 = (xs[None, :] - x) ** 2 + (ys[:, None] - y) ** 2
-    window = depth[y0:y1 + 1, x0:x1 + 1]
+    rows, cols, d2 = found
+    window = depth[rows, cols]
     samples = window[(d2 < radius_px**2) & np.isfinite(window) & (window > 0)]
     if samples.size == 0:
         return None
     samples = np.sort(samples)
     return float(samples[(samples.size - 1) // 2])
-
-
-def transform_point(point: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 rigid transform to a 3D point."""
-    return transform[:3, :3] @ np.asarray(point, dtype=float) + transform[:3, 3]
 
 
 def to_world(joints: np.ndarray, valid: np.ndarray, cam: CameraModel) -> np.ndarray:
@@ -124,5 +139,10 @@ def to_world(joints: np.ndarray, valid: np.ndarray, cam: CameraModel) -> np.ndar
 
 
 def world_to_camera(point_world: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Express a world-frame point in ``cam``'s frame."""
-    return transform_point(point_world, cam.camera_from_world)
+    """Express a world-frame point in ``cam``'s frame as ``R @ p + t``.
+
+    One point per call on purpose: a batched ``P @ R.T + t`` rounds some
+    coordinates differently, which would move the simulated stream's bytes.
+    """
+    m = cam.camera_from_world
+    return m[:3, :3] @ np.asarray(point_world, dtype=float) + m[:3, 3]

@@ -128,46 +128,6 @@ class CameraModel:
         object.__setattr__(self, "camera_from_world", inv)
 
 
-def _joint_arrays(n_cols: int, coords, valid) -> tuple[np.ndarray, np.ndarray]:
-    c = np.array(coords, dtype=float).reshape(JOINT_COUNT, n_cols)
-    v = np.array(valid, dtype=bool).reshape(JOINT_COUNT)
-    c[~v] = 0.0  # canonical: invalid joints carry zero coordinates
-    if not np.all(np.isfinite(c[v])):
-        raise ConfigError("valid joints must have finite coordinates")
-    c.flags.writeable = False
-    v.flags.writeable = False
-    return c, v
-
-
-@dataclass(frozen=True, eq=False)
-class Skeleton2D:
-    """One person's raw 2D joint detections in pixel coordinates.
-
-    ``pixels`` is (15, 2), ``valid`` (15,) bool. Invalid entries carry zeroed
-    coordinates.
-    """
-
-    pixels: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        c, v = _joint_arrays(2, self.pixels, self.valid)
-        object.__setattr__(self, "pixels", c)
-        object.__setattr__(self, "valid", v)
-
-    @classmethod
-    def empty(cls) -> "Skeleton2D":
-        return cls(np.zeros((JOINT_COUNT, 2)), np.zeros(JOINT_COUNT, dtype=bool))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Skeleton2D):
-            return NotImplemented
-        return (
-            np.array_equal(self.valid, other.valid)
-            and np.array_equal(self.pixels, other.pixels)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Skeleton3D:
     """One person's 3D joints in the world frame (meters).
@@ -180,7 +140,13 @@ class Skeleton3D:
     valid: np.ndarray
 
     def __post_init__(self):
-        c, v = _joint_arrays(3, self.joints, self.valid)
+        c = np.array(self.joints, dtype=float).reshape(JOINT_COUNT, 3)
+        v = np.array(self.valid, dtype=bool).reshape(JOINT_COUNT)
+        c[~v] = 0.0  # canonical: invalid joints carry zero coordinates
+        if not np.all(np.isfinite(c[v])):
+            raise ConfigError("valid joints must have finite coordinates")
+        c.flags.writeable = False
+        v.flags.writeable = False
         object.__setattr__(self, "joints", c)
         object.__setattr__(self, "valid", v)
 

@@ -42,7 +42,6 @@ from .model import (
     R_WRIST,
     CameraModel,
     DetectionSet,
-    Skeleton2D,
     Skeleton3D,
 )
 
@@ -118,8 +117,10 @@ class CameraSpec:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"camera {cid!r}: {name} must lie in [0, 1]")
         sizes = (self.pixel_sigma, self.depth_sigma, self.splat_radius)
-        if not all(0 <= v < math.inf for v in sizes):
-            raise ConfigError(f"camera {cid!r}: noise sigmas and splat_radius must be finite, >= 0")
+        if not all(0 <= v and v * v < math.inf for v in sizes):
+            raise ConfigError(
+                f"camera {cid!r}: noise sigmas and splat_radius must be >= 0 with a finite square"
+            )
         if self.width <= 0 or self.height <= 0:
             raise ConfigError(f"camera {cid!r}: image size must be positive")
 
@@ -240,52 +241,49 @@ def _splat_disk(
     depth: np.ndarray, best_d2: np.ndarray, px: float, py: float, z: float, radius: float
 ) -> None:
     """Write ``z`` into the disk around (px, py); nearest joint center wins."""
-    h, w = depth.shape
-    x0 = max(0, math.ceil(px - radius))
-    x1 = min(w - 1, math.floor(px + radius))
-    y0 = max(0, math.ceil(py - radius))
-    y1 = min(h - 1, math.floor(py + radius))
-    if x0 > x1 or y0 > y1:
+    found = geometry.disk_window(depth.shape, px, py, radius)
+    if found is None:
         return
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    d2 = (ys[:, None] - py) ** 2 + (xs[None, :] - px) ** 2
-    sel = (d2 < radius**2) & (d2 < best_d2[y0:y1 + 1, x0:x1 + 1])
-    depth[y0:y1 + 1, x0:x1 + 1][sel] = z
-    best_d2[y0:y1 + 1, x0:x1 + 1][sel] = d2[sel]
+    rows, cols, d2 = found
+    sel = (d2 < radius**2) & (d2 < best_d2[rows, cols])
+    depth[rows, cols][sel] = z
+    best_d2[rows, cols][sel] = d2[sel]
 
 
 def render_detection(
     gt: GroundTruth, spec: CameraSpec, t: float, rng: np.random.Generator
-) -> tuple[list[Skeleton2D], list[np.ndarray]] | None:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
     """Synthesize one camera frame: per-person noisy 2D skeletons + depth maps.
 
-    Joints behind the camera or outside the image come out invalid, as do
-    dropout-sampled joints; with probability ``detection_dropout`` the whole
-    frame yields None. Each person gets their own sparse (height, width) depth
-    map with depth splatted in disks around that person's true joint
-    projections, elsewhere missing (NaN); within a person, overlapping splats
-    resolve to the nearest joint center. Persons never contaminate each other's depth — occlusion between
-    persons is out of scope here, dropout probability stands in for it.
+    Returns ``(pixels, valid, depth_maps)``, one entry per person along the
+    first axis: ``pixels`` is (P, 15, 2), ``valid`` (P, 15) bool with zero
+    pixels where invalid, and ``depth_maps`` a list of P (height, width)
+    images. Joints behind the camera or outside the image come out invalid,
+    as do dropout-sampled joints; with probability ``detection_dropout`` the
+    whole frame yields None. Each person gets their own sparse depth map with
+    depth splatted in disks around that person's true joint projections,
+    elsewhere missing (NaN); within a person, overlapping splats resolve to
+    the nearest joint center. Persons never contaminate each other's depth —
+    occlusion between persons is out of scope here, dropout probability
+    stands in for it.
     """
     if rng.random() < spec.detection_dropout:
         return None
     cam = spec.camera
     w, h = spec.width, spec.height
-    cam_from_world = cam.camera_from_world
+    person_ids = gt.person_ids
 
-    skeletons = []
+    pixels = np.zeros((len(person_ids), JOINT_COUNT, 2))
+    valid = np.zeros((len(person_ids), JOINT_COUNT), dtype=bool)
     depth_maps = []
-    for person_id in gt.person_ids:
+    for k, person_id in enumerate(person_ids):
         truth = gt.truth_at(person_id, t)
         noise = rng.normal(0.0, spec.pixel_sigma, size=(JOINT_COUNT, 2))
         drops = rng.random(JOINT_COUNT)
         depth = np.full((h, w), np.nan)
         best_d2 = np.full((h, w), np.inf)
-        pixels = np.zeros((JOINT_COUNT, 2))
-        valid = np.zeros(JOINT_COUNT, dtype=bool)
         for j in range(JOINT_COUNT):
-            p_cam = geometry.transform_point(truth.joints[j], cam_from_world)
+            p_cam = geometry.world_to_camera(truth.joints[j], cam)
             if p_cam[2] <= 0.0:
                 continue
             px, d = geometry.project(p_cam, cam)
@@ -297,15 +295,14 @@ def render_detection(
                 continue
             if drops[j] < spec.joint_dropout:
                 continue
-            pixels[j] = (nx, ny)
-            valid[j] = True
+            pixels[k, j] = (nx, ny)
+            valid[k, j] = True
         holes = np.isfinite(depth)
         n = int(np.count_nonzero(holes))
         if n:
             depth[holes] += rng.normal(0.0, spec.depth_sigma, size=n)
-        skeletons.append(Skeleton2D(pixels, valid))
         depth_maps.append(depth)
-    return skeletons, depth_maps
+    return pixels, valid, depth_maps
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[list[SimEvent], GroundTruth]:
             rendered = render_detection(gt, spec, t, rng)
             if rendered is None:
                 continue
-            skeletons, depth_maps = rendered
-            dets = make_detection_set(skeletons, depth_maps, spec.camera, t)
+            dets = make_detection_set(*rendered, spec.camera, t)
             arrival = max(prev_arrival, t + jitter)
             prev_arrival = arrival
             events.append(SimEvent(arrival=arrival, detections=dets))

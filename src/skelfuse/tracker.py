@@ -64,7 +64,6 @@ class Track:
     joint_filters: list[FilterState | None]
     last_seen: Timestamp
     hits: int = 1
-    missed_updates: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,6 @@ class PoseTracker:
             if track is not None:
                 events.append(TrackEvent("created", track.track_id, t, dets.camera_id))
 
-        for track_id in result.unmatched_tracks:
-            self._tracks[track_id].missed_updates += 1
-
         for track_id in [tid for tid, trk in self._tracks.items()
                          if t - trk.last_seen > cfg.max_track_age]:
             del self._tracks[track_id]
@@ -198,7 +194,6 @@ class PoseTracker:
                 track.joint_filters[j] = predicted  # predict-only, mean untouched by update
         track.last_seen = max(track.last_seen, t)
         track.hits += 1
-        track.missed_updates = 0
 
     def _birth(self, skel: Skeleton3D, t: Timestamp) -> Track | None:
         cfg = self.config.noise

@@ -53,8 +53,9 @@ class NoiseConfig:
     def __post_init__(self):
         sigmas = (self.process_accel_sigma, self.meas_sigma, self.centroid_meas_sigma,
                   self.init_vel_sigma)
-        if not all(0 < s < np.inf for s in sigmas):
-            raise ConfigError("noise sigmas must be positive and finite")
+        # s * s is inf, where s**2 would raise, for a sigma whose variance overflows.
+        if not all(0 < s and s * s < np.inf for s in sigmas):
+            raise ConfigError("noise sigmas must be positive with a finite square")
 
     def for_centroid(self) -> "NoiseConfig":
         """The config the centroid filter runs under (its own meas sigma)."""

@@ -117,13 +117,13 @@ def test_criterion_3_geometry_roundtrips():
         rendered = render_detection(gt, spec, float(t), rng2)
         if rendered is None:
             continue
-        for s2d, dm in zip(*rendered):
-            s3d = lift_skeleton(s2d, dm, spec.camera)
+        for px2d, v2d, dm in zip(*rendered):
+            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
                 px, _ = project(world_to_camera(s3d.joints[j], spec.camera), spec.camera)
-                err = math.hypot(px.x - s2d.pixels[j, 0], px.y - s2d.pixels[j, 1])
+                err = math.hypot(px.x - px2d[j, 0], px.y - px2d[j, 1])
                 worst_px = max(worst_px, err)
                 checked += 1
     assert checked > 100

@@ -247,10 +247,13 @@ def test_golden_stream_bytes_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_STREAM_SHA256
 
 
-# Tracker output on the bundled three_person_jitter stream. Events carry only
-# association and lifecycle decisions, so their bytes are pinned exactly; the
-# snapshot fingerprint (sums of valid joint coordinates and of cov_trace) is
-# pinned to 1e-9 relative, so a filter refactor may move the last bits only.
+# Simulator and tracker output on the bundled three_person_jitter scenario. The
+# stream bytes are pinned exactly: unlike the golden stream, they cover three
+# persons seen by four cameras. Events carry only association and lifecycle
+# decisions, so their bytes are pinned exactly too; the snapshot fingerprint
+# (sums of valid joint coordinates and of cov_trace) is pinned to 1e-9
+# relative, so a filter refactor may move the last bits only.
+JITTER_STREAM_SHA256 = "c1bc52523136ee4b039f219da9e10cb352822e400536ee9058ee83f0bcbf52c6"
 JITTER_EVENTS_SHA256 = "7c8e560a17ce0c80dcd2fd40b5834b632bec1933ed9c748af5ea9f57f6a35a0d"
 JITTER_JOINT_COORD_SUM = 13043.026950106438
 JITTER_COV_TRACE_SUM = 50.60314917077529
@@ -261,6 +264,8 @@ def test_track_output_pinned_on_three_person_jitter(tmp_path):
 
     sim, trk = tmp_path / "sim", tmp_path / "trk"
     assert main(["simulate", "--scenario", "three_person_jitter", "--out", str(sim)]) == 0
+    stream = (sim / "stream.jsonl").read_bytes()
+    assert hashlib.sha256(stream).hexdigest() == JITTER_STREAM_SHA256
     assert main(["track", "--stream", str(sim / "stream.jsonl"),
                  "--calib", str(sim / "calibration.json"), "--out", str(trk)]) == 0
     events = (trk / "events.jsonl").read_bytes()

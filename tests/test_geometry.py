@@ -62,16 +62,25 @@ def test_back_project_invalid_depth():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidDepthError):
             back_project((10.0, 10.0), bad, cam)
+    # One bad depth among good ones rejects the whole array.
+    with pytest.raises(InvalidDepthError):
+        back_project([(10.0, 10.0)] * 3, [1.0, 0.0, 2.0], cam)
 
 
 def test_project_back_project_roundtrip_randomized():
     rng = np.random.default_rng(7)
     cam = make_camera(fx=417.3, fy=512.9, cx=301.0, cy=255.5)
+    pixels, depths, points = [], [], []
     for _ in range(500):
         p = rng.uniform([-3, -3, 0.2], [3, 3, 8.0])
         px, d = project(p, cam)
         q = back_project(px, d, cam)
         assert np.linalg.norm(q - p) / np.linalg.norm(p) < 1e-12
+        pixels.append(px)
+        depths.append(d)
+        points.append(q)
+    # Back-projecting all pairs in one call matches the per-point results bit for bit.
+    assert np.array_equal(back_project(pixels, depths, cam), np.array(points))
 
 
 # --- median_depth ------------------------------------------------------------

@@ -137,6 +137,7 @@ def test_huge_stamp_gap_exits_2(gap, tmp_path, capsys):
     ["--max-track-age", "0"],
     ["--meas-sigma", "-1"],
     ["--stale-tolerance", "-1"],
+    ["--meas-sigma", "1e200"],
 ])
 def test_bad_track_flag_exits_2(flags, tmp_path):
     assert _track(tmp_path, *_valid_inputs(), *flags) == 2
@@ -171,6 +172,7 @@ SCENARIO_CASES = {
     "latency_jitter infinite": (("cameras", 0, "latency_jitter"), [0.0, math.inf]),
     "heading_deg infinite": (("persons", 0, "heading_deg"), math.inf),
     "position of two numbers": (("cameras", 0, "position"), [3.5, 3.5]),
+    "splat_radius squared overflows": (("cameras", 0, "splat_radius"), 1e200),
 }
 
 

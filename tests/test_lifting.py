@@ -5,19 +5,20 @@ import pytest
 
 from skelfuse.geometry import project, world_to_camera
 from skelfuse.lifting import lift_skeleton, make_detection_set
-from skelfuse.model import JOINT_COUNT, Skeleton2D
+from skelfuse.model import JOINT_COUNT
 from skelfuse.simulate import GroundTruth, render_detection
 
 from conftest import make_camera, make_camera_spec, walking_scenario
 
 
-def _skeleton2d(points: dict[int, tuple]) -> Skeleton2D:
+def _skeleton2d(points: dict[int, tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """(15, 2) pixels and (15,) mask of sparse 2D joints; absent joints are invalid."""
     px = np.zeros((JOINT_COUNT, 2))
     valid = np.zeros(JOINT_COUNT, dtype=bool)
     for i, p in points.items():
         px[i] = p
         valid[i] = True
-    return Skeleton2D(px, valid)
+    return px, valid
 
 
 def _uniform_depth(w, h, value):
@@ -26,7 +27,7 @@ def _uniform_depth(w, h, value):
 
 def test_lift_all_invalid_stays_invalid():
     cam = make_camera()
-    s = lift_skeleton(Skeleton2D.empty(), _uniform_depth(640, 480, 2.0), cam)
+    s = lift_skeleton(*_skeleton2d({}), _uniform_depth(640, 480, 2.0), cam)
     assert s.n_valid == 0
     assert not s.joints.any()
 
@@ -34,7 +35,7 @@ def test_lift_all_invalid_stays_invalid():
 def test_lift_joint_at_principal_point():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
     s2d = _skeleton2d({5: (320.0, 240.0)})
-    s3d = lift_skeleton(s2d, _uniform_depth(640, 480, 2.0), cam)
+    s3d = lift_skeleton(*s2d, _uniform_depth(640, 480, 2.0), cam)
     assert s3d.valid[5]
     assert np.allclose(s3d.joints[5], [0.0, 0.0, 2.0])
 
@@ -44,7 +45,7 @@ def test_lift_missing_depth_invalidates_joint():
     vals = np.full((480, 640), np.nan)
     vals[100:120, 100:120] = 1.5
     s2d = _skeleton2d({0: (110.0, 110.0), 1: (400.0, 400.0)})
-    s3d = lift_skeleton(s2d, vals, cam)
+    s3d = lift_skeleton(*s2d, vals, cam)
     assert s3d.valid[0]
     assert not s3d.valid[1]
 
@@ -52,7 +53,7 @@ def test_lift_missing_depth_invalidates_joint():
 def test_lift_out_of_image_joint_invalid_not_fatal():
     cam = make_camera()
     s2d = _skeleton2d({0: (1000.0, 50.0), 1: (320.0, 240.0)})
-    s3d = lift_skeleton(s2d, _uniform_depth(640, 480, 2.0), cam)
+    s3d = lift_skeleton(*s2d, _uniform_depth(640, 480, 2.0), cam)
     assert not s3d.valid[0]
     assert s3d.valid[1]
 
@@ -66,16 +67,16 @@ def test_lift_project_roundtrip_on_rendered_skeletons():
     rng = np.random.default_rng(23)
     checked = 0
     for t in (0.5, 1.0, 2.0, 3.0):
-        skeletons, depth_maps = render_detection(gt, spec, t, rng)
-        for s2d, dm in zip(skeletons, depth_maps):
-            s3d = lift_skeleton(s2d, dm, spec.camera)
+        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
+        for px2d, v2d, dm in zip(pixels, valid, depth_maps):
+            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
                 p_cam = world_to_camera(s3d.joints[j], spec.camera)
                 px, depth = project(p_cam, spec.camera)
-                assert abs(px.x - s2d.pixels[j, 0]) < 0.5
-                assert abs(px.y - s2d.pixels[j, 1]) < 0.5
+                assert abs(px.x - px2d[j, 0]) < 0.5
+                assert abs(px.y - px2d[j, 1]) < 0.5
                 assert p_cam[2] == depth
                 checked += 1
     assert checked > 20
@@ -87,15 +88,15 @@ def test_valid_3d_count_bounded_by_valid_2d():
     gt = GroundTruth(cfg.persons, cfg.duration)
     rng = np.random.default_rng(29)
     for t in (0.2, 1.2, 2.7):
-        skeletons, depth_maps = render_detection(gt, spec, t, rng)
-        for s2d, dm in zip(skeletons, depth_maps):
-            s3d = lift_skeleton(s2d, dm, spec.camera)
-            assert s3d.n_valid <= int(np.count_nonzero(s2d.valid))
+        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
+        for px2d, v2d, dm in zip(pixels, valid, depth_maps):
+            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
+            assert s3d.n_valid <= int(np.count_nonzero(v2d))
 
 
 def test_make_detection_set_empty_is_valid():
     cam = make_camera()
-    ds = make_detection_set([], [], cam, stamp=1.5)
+    ds = make_detection_set([], [], [], cam, stamp=1.5)
     assert ds.skeletons == ()
     assert ds.stamp == 1.5
     assert ds.camera_id == cam.camera_id
@@ -103,19 +104,16 @@ def test_make_detection_set_empty_is_valid():
 
 def test_make_detection_set_identity_extrinsic():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
-    s2d = _skeleton2d({3: (320.0, 240.0)})
-    ds = make_detection_set([s2d], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
+    px, valid = _skeleton2d({3: (320.0, 240.0)})
+    ds = make_detection_set([px], [valid], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
     assert len(ds.skeletons) == 1
     assert np.allclose(ds.skeletons[0].joints[3], [0.0, 0.0, 2.0])
 
 
 def test_make_detection_set_drops_all_invalid_skeletons():
     cam = make_camera()
-    s_ok = _skeleton2d({3: (320.0, 240.0)})
-    ds = make_detection_set(
-        [Skeleton2D.empty(), s_ok, Skeleton2D.empty()],
-        [_uniform_depth(640, 480, 2.0)] * 3, cam, stamp=0.0,
-    )
+    pixels, valid = zip(_skeleton2d({}), _skeleton2d({3: (320.0, 240.0)}), _skeleton2d({}))
+    ds = make_detection_set(pixels, valid, [_uniform_depth(640, 480, 2.0)] * 3, cam, stamp=0.0)
     assert len(ds.skeletons) == 1
 
 
@@ -129,19 +127,19 @@ def test_make_detection_set_matches_per_skeleton_transform():
     dms = [_uniform_depth(640, 480, 3.0), _uniform_depth(640, 480, 2.0)]
     a = _skeleton2d({0: (300.0, 200.0), 1: (350.0, 260.0)})
     b = _skeleton2d({14: (100.0, 100.0)})
-    ds = make_detection_set([a, b], dms, cam, stamp=0.0)
+    ds = make_detection_set([a[0], b[0]], [a[1], b[1]], dms, cam, stamp=0.0)
     assert len(ds.skeletons) == 2
-    for got, s2d, z in zip(ds.skeletons, (a, b), (3.0, 2.0)):
-        assert np.array_equal(got.valid, s2d.valid)
+    for got, (px2d, v2d), z in zip(ds.skeletons, (a, b), (3.0, 2.0)):
+        assert np.array_equal(got.valid, v2d)
         assert not got.joints[~got.valid].any()
-        for j in np.flatnonzero(s2d.valid):
-            u, v = s2d.pixels[j]
+        for j in np.flatnonzero(v2d):
+            u, v = px2d[j]
             p = np.array([(u - 320.0) * z / 500.0, (v - 240.0) * z / 500.0, z])
             assert np.allclose(got.joints[j], m[:3, :3] @ p + m[:3, 3], atol=1e-12)
 
 
 def test_make_detection_set_requires_one_depth_map_per_skeleton():
     cam = make_camera()
-    s = _skeleton2d({3: (320.0, 240.0)})
+    px, valid = _skeleton2d({3: (320.0, 240.0)})
     with pytest.raises(ValueError):
-        make_detection_set([s, s], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
+        make_detection_set([px, px], [valid, valid], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)

@@ -117,8 +117,8 @@ def test_render_zero_noise_lift_recovers_truth():
     gt = GroundTruth((_static_person(swing_amplitude=0.3),), 4.0)
     rng = np.random.default_rng(1)
     for t in (0.0, 1.3, 2.6):
-        skeletons, depth_maps = render_detection(gt, spec, t, rng)
-        s3d = lift_skeleton(skeletons[0], depth_maps[0], spec.camera)
+        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
+        s3d = lift_skeleton(pixels[0], valid[0], depth_maps[0], spec.camera)
         truth = gt.truth_at("p", t)
         assert s3d.n_valid == JOINT_COUNT
         for j in range(JOINT_COUNT):
@@ -137,8 +137,8 @@ def test_render_person_behind_camera_all_invalid():
     spec = make_camera_spec(position=(4.0, 0.0, 1.6), target=(8.0, 0.0, 1.0))  # looks away
     gt = GroundTruth((_static_person(),), 1.0)
     rng = np.random.default_rng(3)
-    skeletons, _ = render_detection(gt, spec, 0.0, rng)
-    assert skeletons[0].valid.sum() == 0
+    _, valid, _ = render_detection(gt, spec, 0.0, rng)
+    assert valid[0].sum() == 0
 
 
 def test_render_pixel_noise_statistics():
@@ -149,15 +149,15 @@ def test_render_pixel_noise_statistics():
     t = 0.0
     while len(deltas) < 2 * 10_000:  # >= 1e4 rendered joints, 2 coords each
         t += 0.1
-        skeletons, _ = render_detection(gt, spec, t, rng)
+        pixels, valid, _ = render_detection(gt, spec, t, rng)
         truth = gt.truth_at("p", t)
         for j in range(JOINT_COUNT):
-            if not skeletons[0].valid[j]:
+            if not valid[0, j]:
                 continue
             p_cam = world_to_camera(truth.joints[j], spec.camera)
             px, _ = project(p_cam, spec.camera)
-            deltas.append(skeletons[0].pixels[j, 0] - px.x)
-            deltas.append(skeletons[0].pixels[j, 1] - px.y)
+            deltas.append(pixels[0, j, 0] - px.x)
+            deltas.append(pixels[0, j, 1] - px.y)
     std = float(np.std(deltas))
     assert abs(std - 2.5) / 2.5 < 0.05
 
@@ -256,8 +256,8 @@ def test_render_noisy_lift_within_noise_bound():
     rng = np.random.default_rng(6)
     errs = []
     for t in np.arange(0.0, 4.0, 0.1):
-        skeletons, depth_maps = render_detection(gt, spec, float(t), rng)
-        s3d = lift_skeleton(skeletons[0], depth_maps[0], spec.camera)
+        pixels, valid, depth_maps = render_detection(gt, spec, float(t), rng)
+        s3d = lift_skeleton(pixels[0], valid[0], depth_maps[0], spec.camera)
         truth = gt.truth_at("p", float(t))
         for j in range(JOINT_COUNT):
             if s3d.valid[j]:

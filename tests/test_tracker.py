@@ -71,16 +71,6 @@ def test_retirement_after_max_age():
     assert tracker.tracks == []
 
 
-def test_unmatched_tracks_accumulate_missed_updates():
-    tracker = PoseTracker()
-    tracker.ingest(_dets("c0", 0.0, [full_skeleton()]))
-    tracker.ingest(_dets("c0", 0.1, []))
-    tracker.ingest(_dets("c0", 0.2, []))
-    assert tracker.tracks[0].missed_updates == 2
-    tracker.ingest(_dets("c0", 0.3, [full_skeleton()]))
-    assert tracker.tracks[0].missed_updates == 0
-
-
 def test_stale_detection_rejected_and_counted():
     tracker = PoseTracker(TrackerConfig(stale_tolerance=0.5))
     tracker.ingest(_dets("c0", 2.0, [full_skeleton()]))
