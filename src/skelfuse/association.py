@@ -6,7 +6,9 @@ matrix of squared Mahalanobis innovation distances between track centroid
 filters and detection centroids is solved one-to-one by the Munkres
 (Hungarian) algorithm, and an assigned pair is kept only if its original
 cost lies strictly below the gate. The result partitions detections and
-tracks into matches, track births, and removal candidates.
+tracks into matches, track births, and removal candidates. Scoring is pure:
+the tracker predicts the centroid filters and drops centroid-less skeletons
+first, so this module knows neither time nor track identity.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import ukf
-from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, DetectionSet, Skeleton3D
+from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, Skeleton3D
 from .ukf import FilterState, NoiseConfig
 
 # Squared-Mahalanobis gate; 9.49 is the chi-square 95th percentile at 3 dof.
@@ -35,8 +37,8 @@ CENTROID_FALLBACK_WEIGHTS = (
     (L_HIP, 0.2),
 )
 
-# Stand-in cost for unassociable (missing-centroid) detections. Kept finite
-# only inside the solver; such pairs are never reported as assignments.
+# Stand-in cost for non-finite entries (a distance that overflows). Kept
+# finite only inside the solver; such pairs are never reported as assignments.
 _SENTINEL_SUBSTITUTE = 1e15
 
 
@@ -45,11 +47,11 @@ class AssociationResult:
     """Partition of one detection set against the current tracks.
 
     Every detection index lands in exactly one of matches /
-    unmatched_detections, every track id in matches / unmatched_tracks, and
-    no id or index repeats inside matches.
+    unmatched_detections, every track row in matches / unmatched_tracks, and
+    no row or index repeats inside matches.
     """
 
-    matches: tuple[tuple[int, int], ...]  # (detection index, track id)
+    matches: tuple[tuple[int, int], ...]  # (detection index, track row)
     unmatched_detections: tuple[int, ...]
     unmatched_tracks: tuple[int, ...]
 
@@ -74,29 +76,20 @@ def centroid(s: Skeleton3D) -> np.ndarray | None:
 
 
 def build_cost_matrix(
-    track_filters: Sequence[FilterState],
-    dets: Sequence[Skeleton3D],
-    t: float,
+    predicted: Sequence[FilterState],
+    centroids: Sequence[np.ndarray],
     cfg: NoiseConfig,
 ) -> np.ndarray:
     """Squared-Mahalanobis cost matrix, tracks on rows, detections on columns.
 
-    Each track's centroid filter is predicted once to ``t`` (clamped so a
-    stale detection never rewinds a filter) and scored against every
-    detection centroid. Detections with a missing centroid cost +inf against
-    every track.
+    Each row scores one track's centroid filter, already predicted to the
+    detection stamp, against every detection centroid.
     """
-    costs = np.full((len(track_filters), len(dets)), np.inf)
-    if len(track_filters) == 0 or len(dets) == 0:
-        return costs
-    cents = [centroid(d) for d in dets]
-    for i, state in enumerate(track_filters):
-        predicted = ukf.predict(state, max(t, state.last_update), cfg)
-        z_hat, S = ukf.predicted_measurement(predicted, cfg)
+    costs = np.empty((len(predicted), len(centroids)))
+    for i, state in enumerate(predicted):
+        z_hat, S = ukf.predicted_measurement(state, cfg)
         S_inv = np.linalg.inv(S)
-        for j, c in enumerate(cents):
-            if c is None:
-                continue
+        for j, c in enumerate(centroids):
             ztilde = c - z_hat
             costs[i, j] = float(ztilde @ S_inv @ ztilde)
     return costs
@@ -121,41 +114,25 @@ def munkres(cost: np.ndarray) -> dict[int, int]:
 
 
 def data_association(
-    dets: DetectionSet,
-    tracks: Sequence,
-    eps: float = DEFAULT_GATE,
-    cfg: NoiseConfig = NoiseConfig(),
+    predicted: Sequence[FilterState],
+    centroids: Sequence[np.ndarray],
+    eps: float,
+    cfg: NoiseConfig,
 ) -> AssociationResult:
-    """Assign a detection set to tracks with gated optimal matching.
+    """Assign detection centroids to predicted track centroid filters.
 
-    ``tracks`` may be any objects exposing ``track_id`` and
-    ``centroid_filter``. An assignment survives only if its original cost is
-    strictly below ``eps``; leftover detections become track births, leftover
-    tracks removal candidates.
+    An assignment survives only if its original cost is strictly below
+    ``eps``; leftover detections become track births, leftover tracks
+    removal candidates.
     """
-    if eps <= 0:
-        raise ValueError("gating threshold must be positive")
-
-    cost = build_cost_matrix(
-        [trk.centroid_filter for trk in tracks], dets.skeletons, dets.stamp, cfg
-    )
+    cost = build_cost_matrix(predicted, centroids, cfg)
     assignment = munkres(cost)
 
-    matches = []
-    matched_rows = set()
-    matched_cols = set()
-    for i, trk in enumerate(tracks):
-        j = assignment.get(i)
-        if j is not None and cost[i, j] < eps:
-            matches.append((j, trk.track_id))
-            matched_rows.add(i)
-            matched_cols.add(j)
-    unmatched_dets = tuple(j for j in range(len(dets.skeletons)) if j not in matched_cols)
-    unmatched_tracks = tuple(
-        trk.track_id for i, trk in enumerate(tracks) if i not in matched_rows
-    )
+    matches = tuple((j, i) for i, j in assignment.items() if cost[i, j] < eps)
+    matched_dets = {j for j, _ in matches}
+    matched_rows = {i for _, i in matches}
     return AssociationResult(
-        matches=tuple(matches),
-        unmatched_detections=unmatched_dets,
-        unmatched_tracks=unmatched_tracks,
+        matches=matches,
+        unmatched_detections=tuple(j for j in range(len(centroids)) if j not in matched_dets),
+        unmatched_tracks=tuple(i for i in range(len(predicted)) if i not in matched_rows),
     )

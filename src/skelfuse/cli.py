@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io
 from .errors import SkelFuseError
-from .evaluation import evaluate
+from .evaluation import DEFAULT_MAF_K, evaluate
 from .simulate import bundled_scenario_path, load_scenario, run_scenario
 from .tracker import PoseTracker, TrackerConfig
 from .ukf import NoiseConfig
@@ -98,7 +98,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(
         cfg,
         camera_subsets=subsets,
-        k_values=tuple(args.maf_k),
+        k_values=tuple(args.maf_k or DEFAULT_MAF_K),
         seeds=seeds,
         ref_camera_id=args.ref_camera,
     )
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="camera subset (repeatable); default: 1-cam, 2-cam, full network",
     )
     p_eval.add_argument("--maf-k", action="append", type=int, default=None,
-                        help="MAF window size (repeatable); default 30 and 40")
+                        help=f"MAF window size (repeatable); default {DEFAULT_MAF_K}")
     p_eval.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
     p_eval.add_argument("--seed-override", type=int, default=None)
     p_eval.add_argument("--ref-camera", default=None, help="reference camera id (default first)")
@@ -163,8 +163,6 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "maf_k", None) is None and args.command == "evaluate":
-        args.maf_k = [30, 40]
     try:
         return args.func(args)
     except SkelFuseError as exc:

@@ -31,6 +31,7 @@ from .tracker import PoseTracker
 
 OVERFLOW_FLAG_PX = 100.0  # cells above this are flagged in the text table
 WARMUP_S = 1.0  # seconds of stream before the first scored sample
+DEFAULT_MAF_K = (30, 40)  # MAF window sizes scored when none are given
 
 
 def reprojection_error(
@@ -187,7 +188,7 @@ def _nearest_skeleton(skeletons, point: np.ndarray):
 def evaluate(
     cfg: ScenarioConfig,
     camera_subsets: Sequence[Sequence[str]] | None = None,
-    k_values: Sequence[int] = (30, 40),
+    k_values: Sequence[int] = DEFAULT_MAF_K,
     seeds: Sequence[int] | None = None,
     ref_camera_id: str | None = None,
 ) -> EvalReport:

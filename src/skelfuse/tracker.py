@@ -6,7 +6,9 @@ one is associated against the live tracks, matched tracks update their
 per-joint and centroid filters, unmatched detections birth tracks, and tracks
 unseen for longer than the age limit are retired. Stale detections within a
 small tolerance are applied with their filter time clamped (dt = 0); older
-ones are dropped with a logged staleness error and counted.
+ones are dropped with a logged staleness error and counted. The tracker alone
+handles time: per set it computes each centroid once, dropping centroid-less
+skeletons, predicts each centroid filter once, and association scores those.
 
 Track ids are never reused within a tracker instance. Identical ingest
 sequences produce bit-identical track histories.
@@ -15,7 +17,7 @@ sequences produce bit-identical track histories.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +27,11 @@ from .model import JOINT_COUNT, DetectionSet, Skeleton3D, Timestamp
 from .ukf import FilterState, NoiseConfig
 
 log = logging.getLogger(__name__)
+
+# Measurement std (m) of the centroid filter. The centroid is a derived
+# pseudo-measurement: without the chest, the fallback weighted mean can sit
+# decimeters from it, so joint-level noise would gate out genuine detections.
+CENTROID_MEAS_SIGMA = 0.2
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class PoseTracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._centroid_noise = self.config.noise.for_centroid()
+        self._centroid_noise = replace(self.config.noise, meas_sigma=CENTROID_MEAS_SIGMA)
         self._tracks: dict[int, Track] = {}
         self._next_id = 1
         self._latest_stamp: Timestamp | None = None
@@ -122,18 +129,29 @@ class PoseTracker:
             )
             return []
 
-        track_list = list(self._tracks.values())
-        result = association.data_association(dets, track_list, cfg.gating_eps, self._centroid_noise)
+        detections: list[tuple[Skeleton3D, np.ndarray]] = []
+        for skel in dets.skeletons:
+            cent = association.centroid(skel)
+            if cent is None:
+                log.debug("dropping centroid-less detection from %s at %.6f", dets.camera_id, t)
+            else:
+                detections.append((skel, cent))
+
+        # A set with no centroid scores nothing, so no filter is predicted for it.
+        tracks = list(self._tracks.values()) if detections else []
+        predicted = [_predict_to(trk.centroid_filter, t, self._centroid_noise) for trk in tracks]
+        result = association.data_association(
+            predicted, [cent for _, cent in detections], cfg.gating_eps, self._centroid_noise
+        )
 
         events: list[TrackEvent] = []
-        for det_idx, track_id in result.matches:
-            self._apply_match(self._tracks[track_id], dets.skeletons[det_idx], t)
-            events.append(TrackEvent("updated", track_id, t, dets.camera_id))
+        for det_idx, row in result.matches:
+            self._apply_match(tracks[row], predicted[row], *detections[det_idx], t)
+            events.append(TrackEvent("updated", tracks[row].track_id, t, dets.camera_id))
 
         for det_idx in result.unmatched_detections:
-            track = self._birth(dets.skeletons[det_idx], t)
-            if track is not None:
-                events.append(TrackEvent("created", track.track_id, t, dets.camera_id))
+            track = self._birth(*detections[det_idx], t)
+            events.append(TrackEvent("created", track.track_id, t, dets.camera_id))
 
         for track_id in [tid for tid, trk in self._tracks.items()
                          if t - trk.last_seen > cfg.max_track_age]:
@@ -160,7 +178,7 @@ class PoseTracker:
             for j, state in enumerate(track.joint_filters):
                 if state is None:
                     continue
-                predicted = ukf.predict(state, max(t, state.last_update), cfg.noise)
+                predicted = _predict_to(state, t, cfg.noise)
                 joints[j] = predicted.position()
                 valid[j] = True
                 traces[j] = float(np.trace(predicted.position_cov()))
@@ -172,22 +190,17 @@ class PoseTracker:
         poses.sort(key=lambda p: p.track_id)
         return FusedSnapshot(stamp=t, tracks=tuple(poses))
 
-    def _apply_match(self, track: Track, skel: Skeleton3D, t: Timestamp) -> None:
+    def _apply_match(self, track: Track, centroid_predicted: FilterState, skel: Skeleton3D,
+                     cent: np.ndarray, t: Timestamp) -> None:
         cfg = self.config.noise
-        ccfg = self._centroid_noise
-        cent = association.centroid(skel)
-        # A matched pair always has a finite cost, hence a centroid.
-        track.centroid_filter = ukf.update(
-            ukf.predict(track.centroid_filter, max(t, track.centroid_filter.last_update), ccfg),
-            cent, ccfg,
-        )
+        track.centroid_filter = ukf.update(centroid_predicted, cent, self._centroid_noise)
         for j in range(JOINT_COUNT):
             state = track.joint_filters[j]
             if state is None:
                 if skel.valid[j]:
                     track.joint_filters[j] = ukf.init_filter(skel.joints[j], t, cfg)
                 continue
-            predicted = ukf.predict(state, max(t, state.last_update), cfg)
+            predicted = _predict_to(state, t, cfg)
             if skel.valid[j]:
                 track.joint_filters[j] = ukf.update(predicted, skel.joints[j], cfg)
             else:
@@ -195,12 +208,8 @@ class PoseTracker:
         track.last_seen = max(track.last_seen, t)
         track.hits += 1
 
-    def _birth(self, skel: Skeleton3D, t: Timestamp) -> Track | None:
+    def _birth(self, skel: Skeleton3D, cent: np.ndarray, t: Timestamp) -> Track:
         cfg = self.config.noise
-        cent = association.centroid(skel)
-        if cent is None:
-            log.debug("skipping track birth for centroid-less detection at %.6f", t)
-            return None
         joint_filters: list[FilterState | None] = [
             ukf.init_filter(skel.joints[j], t, cfg) if skel.valid[j] else None
             for j in range(JOINT_COUNT)
@@ -214,3 +223,8 @@ class PoseTracker:
         self._next_id += 1
         self._tracks[track.track_id] = track
         return track
+
+
+def _predict_to(state: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
+    """Predict ``state`` to ``t``, clamped so a stale stamp never rewinds it."""
+    return ukf.predict(state, max(t, state.last_update), cfg)

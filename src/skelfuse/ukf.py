@@ -4,9 +4,10 @@ State is 6-D: position (m) and velocity (m/s), three axes each. The motion
 model integrates velocity between updates and injects continuous
 white-acceleration process noise, whose discretization is additive: predicting
 over dt1 + dt2 equals predicting over dt1 then dt2. The measurement is the
-3-D position, ``H = [I 0]`` with isotropic noise ``R = meas_sigma^2 I``.
-Both models are linear, so the closed-form Kalman filter is exact; the test
-suite checks it against an independently coded explicit-matrix filter.
+3-D position, ``H = [I 0]`` with isotropic noise ``R = meas_sigma^2 I``; a new
+filter starts at rest with velocity std ``INIT_VEL_SIGMA``. Both models are
+linear, so the closed-form Kalman filter is exact; the test suite checks it
+against an independently coded explicit-matrix filter.
 
 The module keeps the name ``ukf`` because that is the layer name under which
 the benchmark (``perfbench``) reports filter predict/update time.
@@ -17,7 +18,7 @@ parallel is safe by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +29,28 @@ STATE_DIM = 6
 MEAS_DIM = 3
 
 
+# Velocity std (m/s) of a new filter: a first sighting says nothing of motion.
+INIT_VEL_SIGMA = 1.0
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Filter noise magnitudes.
 
     ``process_accel_sigma`` is the continuous white-acceleration intensity
     (default 2.0 m/s^2, the scale of human limb accelerations);
-    ``meas_sigma`` the isotropic measurement std (default 0.05 m);
-    ``init_vel_sigma`` the velocity std of a freshly initialized filter.
-
-    ``centroid_meas_sigma`` is the measurement std the tracker uses for the
-    per-track centroid filter (default 0.2 m). The centroid is a derived
-    pseudo-measurement: when the chest joint drops out, the fallback
-    weighted mean can sit several decimeters from the chest, so gating it
-    with joint-level noise would reject genuine detections and spawn
-    duplicate tracks.
+    ``meas_sigma`` the isotropic measurement std (default 0.05 m).
     """
 
     process_accel_sigma: float = 2.0
     meas_sigma: float = 0.05
-    centroid_meas_sigma: float = 0.2
-    init_vel_sigma: float = 1.0
 
     def __post_init__(self):
-        sigmas = (self.process_accel_sigma, self.meas_sigma, self.centroid_meas_sigma,
-                  self.init_vel_sigma)
-        # s * s is inf, where s**2 would raise, for a sigma whose variance overflows.
-        if not all(0 < s and s * s < np.inf for s in sigmas):
-            raise ConfigError("noise sigmas must be positive with a finite square")
-
-    def for_centroid(self) -> "NoiseConfig":
-        """The config the centroid filter runs under (its own meas sigma)."""
-        return replace(self, meas_sigma=self.centroid_meas_sigma)
+        # s * s is inf, where s**2 would raise, for a sigma whose variance
+        # overflows, and 0 for one whose variance underflows.
+        if not all(0 < s and 0 < s * s < np.inf
+                   for s in (self.process_accel_sigma, self.meas_sigma)):
+            raise ConfigError("noise sigmas must be positive with a finite, nonzero square")
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ def init_filter(z0: np.ndarray, t0: Timestamp, cfg: NoiseConfig) -> FilterState:
     if not np.all(np.isfinite(z0)):
         raise ValueError(f"initial measurement must be finite, got {z0}")
     mean = np.concatenate([z0, np.zeros(3)])
-    cov = np.diag([cfg.meas_sigma**2] * 3 + [cfg.init_vel_sigma**2] * 3)
+    cov = np.diag([cfg.meas_sigma**2] * 3 + [INIT_VEL_SIGMA**2] * 3)
     return FilterState(mean=mean, cov=cov, last_update=t0)
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from skelfuse.association import build_cost_matrix, data_association, munkres
+from skelfuse.association import build_cost_matrix, centroid, data_association, munkres
 from skelfuse.cli import main
 from skelfuse.evaluation import evaluate
 from skelfuse.geometry import back_project, median_depth, project, world_to_camera
@@ -22,7 +22,7 @@ from skelfuse.tracker import PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig, init_filter, predict, update
 
 from conftest import make_camera, make_camera_spec, sparse_skeleton, walking_scenario
-from test_association import FakeTrack, brute_force_min_cost, _brute_force_gated
+from test_association import assert_partition, brute_force_min_cost, _brute_force_gated
 from test_ukf import LinearKalman
 
 
@@ -98,12 +98,9 @@ def test_criterion_3_geometry_roundtrips():
     rng = np.random.default_rng(1003)
     cam = make_camera(fx=483.2, fy=529.7, cx=312.4, cy=247.1)
     pts = rng.uniform([-5, -5, 0.05], [5, 5, 12.0], size=(100_000, 3))
-    worst = 0.0
-    for p in pts:
-        px, d = project(p, cam)
-        q = back_project(px, d, cam)
-        rel = float(np.linalg.norm(q - p) / np.linalg.norm(p))
-        worst = max(worst, rel)
+    projected = [project(p, cam) for p in pts]
+    q = back_project([px for px, _ in projected], [d for _, d in projected], cam)
+    worst = float(np.max(np.linalg.norm(q - pts, axis=1) / np.linalg.norm(pts, axis=1)))
     assert worst < 1e-12
 
     # lift -> project pixel round trip on simulator-rendered skeletons
@@ -160,35 +157,30 @@ def test_criterion_4_median_depth_brute_force():
 def test_criterion_5_association_partition_and_gated_optimum():
     cfg = NoiseConfig()
     rng = np.random.default_rng(1005)
-    from skelfuse.model import CHEST, DetectionSet
+    from skelfuse.model import CHEST
 
     compared = 0
     for _ in range(1000):
         n_tracks = int(rng.integers(0, 6))
         n_dets = int(rng.integers(0, 6))
-        tracks = [FakeTrack(i + 1, init_filter(rng.uniform(-3, 3, 3), 0.0, cfg))
-                  for i in range(n_tracks)]
+        filters = [init_filter(rng.uniform(-3, 3, 3), 0.0, cfg) for _ in range(n_tracks)]
         skels = []
         for _ in range(n_dets):
             if rng.random() < 0.1:
                 skels.append(sparse_skeleton({0: (0.0, 0.0, 1.0)}))  # no centroid
             else:
                 skels.append(sparse_skeleton({CHEST: tuple(rng.uniform(-3, 3, 3))}))
-        dets = DetectionSet("cam", float(rng.uniform(0, 0.4)), tuple(skels))
+        stamp = float(rng.uniform(0, 0.4))
+        # As the tracker does: drop centroid-less skeletons, predict each filter once.
+        cents = [c for c in map(centroid, skels) if c is not None]
+        predicted = [predict(f, stamp, cfg) for f in filters]
         eps = float(rng.uniform(0.5, 25.0))
-        res = data_association(dets, tracks, eps, cfg)
+        res = data_association(predicted, cents, eps, cfg)
+        assert_partition(res, n_tracks, len(cents))
 
-        det_idx = sorted([j for j, _ in res.matches] + list(res.unmatched_detections))
-        assert det_idx == list(range(n_dets))
-        trk_idx = sorted([t for _, t in res.matches] + list(res.unmatched_tracks))
-        assert trk_idx == sorted(t.track_id for t in tracks)
-        assert len({j for j, _ in res.matches}) == len(res.matches)
-        assert len({t for _, t in res.matches}) == len(res.matches)
-
-        if n_tracks and n_dets:
-            cost = build_cost_matrix([t.centroid_filter for t in tracks],
-                                     dets.skeletons, dets.stamp, cfg)
-            expect, unique = _brute_force_gated(cost, [t.track_id for t in tracks], eps)
+        if predicted and cents:
+            cost = build_cost_matrix(predicted, cents, cfg)
+            expect, unique = _brute_force_gated(cost, eps)
             if unique:
                 assert tuple(sorted(res.matches)) == expect
                 compared += 1

@@ -1,7 +1,6 @@
 """Tests for centroids, cost matrices, Munkres assignment, and gated matching."""
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,16 +13,8 @@ from skelfuse.association import (
     data_association,
     munkres,
 )
-from skelfuse.model import (
-    CHEST,
-    L_HIP,
-    L_SHOULDER,
-    NECK,
-    R_HIP,
-    R_SHOULDER,
-    DetectionSet,
-)
-from skelfuse.ukf import NoiseConfig, init_filter
+from skelfuse.model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER
+from skelfuse.ukf import NoiseConfig, init_filter, predict
 
 from conftest import sparse_skeleton
 
@@ -68,26 +59,20 @@ def test_centroid_missing_when_no_torso():
 
 # --- build_cost_matrix ----------------------------------------------------------
 
+def _cents(points):
+    return [np.asarray(p, dtype=float) for p in points]
+
+
 def test_cost_matrix_no_tracks():
-    dets = [sparse_skeleton({CHEST: (0, 0, 1)})]
-    c = build_cost_matrix([], dets, 0.0, CFG)
+    c = build_cost_matrix([], _cents([(0, 0, 1)]), CFG)
     assert c.shape == (0, 1)
 
 
 def test_cost_matrix_zero_at_predicted_position():
     f = init_filter(np.array([1.0, 1.0, 1.0]), 0.0, CFG)
-    dets = [sparse_skeleton({CHEST: (1.0, 1.0, 1.0)})]
-    c = build_cost_matrix([f], dets, 0.0, CFG)
+    c = build_cost_matrix([f], _cents([(1.0, 1.0, 1.0)]), CFG)
     assert c.shape == (1, 1)
     assert c[0, 0] == pytest.approx(0.0, abs=1e-18)
-
-
-def test_cost_matrix_missing_centroid_is_inf():
-    f = init_filter(np.zeros(3), 0.0, CFG)
-    dets = [sparse_skeleton({0: (0, 0, 1)}), sparse_skeleton({CHEST: (0, 0, 1)})]
-    c = build_cost_matrix([f], dets, 0.0, CFG)
-    assert np.isinf(c[0, 0])
-    assert np.isfinite(c[0, 1])
 
 
 def test_cost_matrix_elementwise_oracle():
@@ -95,9 +80,9 @@ def test_cost_matrix_elementwise_oracle():
     # (independent of the production filter code).
     rng = np.random.default_rng(3)
     tracks = [init_filter(rng.uniform(-1, 1, 3), 0.0, CFG) for _ in range(2)]
-    dets = [sparse_skeleton({CHEST: tuple(rng.uniform(-1, 1, 3))}) for _ in range(3)]
+    cents = [rng.uniform(-1, 1, 3) for _ in range(3)]
     t = 0.25
-    c = build_cost_matrix(tracks, dets, t, CFG)
+    c = build_cost_matrix([predict(f, t, CFG) for f in tracks], cents, CFG)
 
     H = np.hstack([np.eye(3), np.zeros((3, 3))])
     F = np.eye(6)
@@ -112,8 +97,8 @@ def test_cost_matrix_elementwise_oracle():
         xp = F @ trk.mean
         Pp = F @ trk.cov @ F.T + Q
         S = H @ Pp @ H.T + CFG.meas_sigma**2 * np.eye(3)
-        for j, d in enumerate(dets):
-            zt = centroid(d) - H @ xp
+        for j, cent in enumerate(cents):
+            zt = cent - H @ xp
             expect = float(zt @ np.linalg.inv(S) @ zt)
             assert c[i, j] == pytest.approx(expect, rel=1e-9)
 
@@ -173,64 +158,48 @@ def test_munkres_matches_brute_force_randomized():
 
 # --- data_association -----------------------------------------------------------
 
-@dataclass
-class FakeTrack:
-    track_id: int
-    centroid_filter: object
-
-
-def _dets(points, stamp=0.0):
-    skels = tuple(sparse_skeleton({CHEST: p}) if p is not None else sparse_skeleton({0: (0, 0, 1)})
-                  for p in points)
-    return DetectionSet("cam", stamp, skels)
-
-
 def test_association_no_tracks_all_unmatched():
-    res = data_association(_dets([(0, 0, 1), (1, 1, 1)]), [], DEFAULT_GATE, CFG)
+    res = data_association([], _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0, 1)
     assert res.unmatched_tracks == ()
 
 
 def test_association_gate_splits_matches():
-    trk = FakeTrack(7, init_filter(np.array([0.0, 0.0, 1.0]), 0.0, CFG))
+    f = init_filter(np.array([0.0, 0.0, 1.0]), 0.0, CFG)
     # det 0 at the predicted position; det 1 far beyond the gate
-    res = data_association(_dets([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), [trk], DEFAULT_GATE, CFG)
-    assert res.matches == ((0, 7),)
+    res = data_association([f], _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, CFG)
+    assert res.matches == ((0, 0),)
     assert res.unmatched_detections == (1,)
     assert res.unmatched_tracks == ()
 
 
 def test_association_strict_gate_boundary():
-    trk = FakeTrack(1, init_filter(np.array([0.0, 0.0, 0.0]), 0.0, CFG))
-    res = data_association(_dets([(0.05, 0.0, 0.0)]), [trk], 1e-12, CFG)
+    f = init_filter(np.array([0.0, 0.0, 0.0]), 0.0, CFG)
+    res = data_association([f], _cents([(0.05, 0.0, 0.0)]), 1e-12, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0,)
-    assert res.unmatched_tracks == (1,)
-
-
-def test_association_missing_centroid_always_unmatched():
-    trk = FakeTrack(1, init_filter(np.zeros(3), 0.0, CFG))
-    res = data_association(_dets([None]), [trk], DEFAULT_GATE, CFG)
-    assert res.matches == ()
-    assert res.unmatched_detections == (0,)
-    assert res.unmatched_tracks == (1,)
+    assert res.unmatched_tracks == (0,)
 
 
 def _random_config(rng, n_tracks, n_dets, missing_prob=0.0):
-    tracks = [FakeTrack(i + 1, init_filter(rng.uniform(-3, 3, 3), 0.0, CFG))
-              for i in range(n_tracks)]
+    """Predicted track filters and detection centroids; a missing one is dropped."""
+    filters = [init_filter(rng.uniform(-3, 3, 3), 0.0, CFG) for _ in range(n_tracks)]
     points = [None if rng.random() < missing_prob else tuple(rng.uniform(-3, 3, 3))
               for _ in range(n_dets)]
-    return tracks, _dets(points, stamp=float(rng.uniform(0, 0.5)))
+    stamp = float(rng.uniform(0, 0.5))
+    return ([predict(f, stamp, CFG) for f in filters],
+            _cents(p for p in points if p is not None))
 
 
-def _brute_force_gated(cost, track_ids, eps):
-    """Exhaustive assignment over the cost matrix, gate applied afterwards."""
+def _brute_force_gated(cost, eps):
+    """Exhaustive assignment over the cost matrix, gate applied afterwards.
+
+    Returns the (detection index, track row) matches and whether the optimum
+    is unique.
+    """
     best, best_map = brute_force_min_cost(cost)
-    matches = tuple(sorted(
-        (j, track_ids[i]) for i, j in best_map.items() if cost[i, j] < eps
-    ))
+    matches = tuple(sorted((j, i) for i, j in best_map.items() if cost[i, j] < eps))
     # uniqueness: is there another full assignment with the same total?
     rows, cols = cost.shape
     totals = []
@@ -245,29 +214,28 @@ def _brute_force_gated(cost, track_ids, eps):
     return matches, unique
 
 
+def assert_partition(res, n_tracks, n_dets):
+    """Every detection index and every track row lands exactly once."""
+    det_ids = sorted([j for j, _ in res.matches] + list(res.unmatched_detections))
+    assert det_ids == list(range(n_dets))
+    rows = sorted([i for _, i in res.matches] + list(res.unmatched_tracks))
+    assert rows == list(range(n_tracks))
+
+
 def test_association_matches_gated_brute_force():
     rng = np.random.default_rng(59)
     checked = 0
     for _ in range(300):
         n_tracks = int(rng.integers(0, 5))
         n_dets = int(rng.integers(0, 5))
-        tracks, dets = _random_config(rng, n_tracks, n_dets, missing_prob=0.15)
+        predicted, cents = _random_config(rng, n_tracks, n_dets, missing_prob=0.15)
         eps = float(rng.uniform(0.5, 30.0))
-        res = data_association(dets, tracks, eps, CFG)
+        res = data_association(predicted, cents, eps, CFG)
+        assert_partition(res, n_tracks, len(cents))
 
-        # partition invariant
-        det_ids = sorted(j for j, _ in res.matches) + sorted(res.unmatched_detections)
-        assert sorted(det_ids) == list(range(n_dets))
-        trk_ids = sorted(t for _, t in res.matches) + sorted(res.unmatched_tracks)
-        assert sorted(trk_ids) == sorted(t.track_id for t in tracks)
-        assert len({j for j, _ in res.matches}) == len(res.matches)
-        assert len({t for _, t in res.matches}) == len(res.matches)
-
-        if n_tracks and n_dets:
-            cost = build_cost_matrix(
-                [t.centroid_filter for t in tracks], dets.skeletons, dets.stamp, CFG
-            )
-            expect, unique = _brute_force_gated(cost, [t.track_id for t in tracks], eps)
+        if predicted and cents:
+            cost = build_cost_matrix(predicted, cents, CFG)
+            expect, unique = _brute_force_gated(cost, eps)
             if unique:
                 assert tuple(sorted(res.matches)) == expect
                 checked += 1
@@ -277,26 +245,24 @@ def test_association_matches_gated_brute_force():
 def test_gating_monotonicity():
     rng = np.random.default_rng(61)
     for _ in range(50):
-        tracks, dets = _random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        predicted, cents = _random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         eps_small = float(rng.uniform(0.1, 5.0))
         eps_big = eps_small + float(rng.uniform(0.0, 30.0))
-        small = set(data_association(dets, tracks, eps_small, CFG).matches)
-        big = set(data_association(dets, tracks, eps_big, CFG).matches)
+        small = set(data_association(predicted, cents, eps_small, CFG).matches)
+        big = set(data_association(predicted, cents, eps_big, CFG).matches)
         assert small <= big
 
 
 def test_detection_permutation_stability():
     # Permuting detections permutes indices but keeps (track, centroid) pairs.
-    rng = np.random.default_rng(67)
-    tracks = [FakeTrack(i + 1, init_filter(np.array([float(i), 0.0, 1.0]), 0.0, CFG))
-              for i in range(3)]
+    filters = [init_filter(np.array([float(i), 0.0, 1.0]), 0.0, CFG) for i in range(3)]
     points = [(0.02, 0.0, 1.0), (1.01, 0.05, 1.0), (2.0, -0.03, 1.0)]
-    base = data_association(_dets(points), tracks, DEFAULT_GATE, CFG)
-    base_pairs = {(points[j], tid) for j, tid in base.matches}
+    base = data_association(filters, _cents(points), DEFAULT_GATE, CFG)
+    base_pairs = {(points[j], row) for j, row in base.matches}
     for perm in itertools.permutations(range(3)):
         shuffled = [points[p] for p in perm]
-        res = data_association(_dets(shuffled), tracks, DEFAULT_GATE, CFG)
-        pairs = {(shuffled[j], tid) for j, tid in res.matches}
+        res = data_association(filters, _cents(shuffled), DEFAULT_GATE, CFG)
+        pairs = {(shuffled[j], row) for j, row in res.matches}
         assert pairs == base_pairs
 
 

@@ -138,6 +138,8 @@ def test_huge_stamp_gap_exits_2(gap, tmp_path, capsys):
     ["--meas-sigma", "-1"],
     ["--stale-tolerance", "-1"],
     ["--meas-sigma", "1e200"],
+    ["--meas-sigma", "1e-200"],
+    ["--accel-sigma", "1e-200"],
 ])
 def test_bad_track_flag_exits_2(flags, tmp_path):
     assert _track(tmp_path, *_valid_inputs(), *flags) == 2

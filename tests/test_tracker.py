@@ -1,7 +1,9 @@
 """Tests for asynchronous detection ingestion and track lifecycle."""
 
 import numpy as np
+import pytest
 
+from skelfuse import ukf
 from skelfuse.model import CHEST, DetectionSet
 from skelfuse.tracker import PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig
@@ -122,6 +124,50 @@ def test_centroidless_detection_never_births():
     events = tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({4: (1.0, 1.0, 1.0)})]))
     assert events == []
     assert tracker.tracks == []
+
+
+def _filter_bytes(track):
+    filters = [track.centroid_filter, *(f for f in track.joint_filters if f is not None)]
+    return [(f.mean.tobytes(), f.cov.tobytes(), f.last_update) for f in filters]
+
+
+@pytest.mark.parametrize("extra, births", [
+    (sparse_skeleton({4: (1.0, 1.0, 1.0)}), 0),
+    # A finite centroid whose squared Mahalanobis cost overflows to inf.
+    (sparse_skeleton({CHEST: (1e200, 0.0, 1.3)}), 1),
+], ids=["centroid-less", "chest-at-1e200m"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_unmatchable_detection_leaves_match_bit_identical(extra, births):
+    def run(skeletons):
+        tracker = PoseTracker()
+        tracker.ingest(_dets("c0", 0.0, [full_skeleton()]))
+        return tracker, tracker.ingest(_dets("c1", 0.1, skeletons))
+
+    alone, alone_events = run([full_skeleton(base=(0.02, 0.0, 1.0))])
+    both, both_events = run([extra, full_skeleton(base=(0.02, 0.0, 1.0))])
+    assert [e.kind for e in alone_events] == ["updated"]
+    assert both_events[:1] == alone_events
+    assert [e.kind for e in both_events[1:]] == ["created"] * births
+    assert _filter_bytes(both.tracks[0]) == _filter_bytes(alone.tracks[0])
+
+
+def test_ingest_predicts_each_centroid_filter_once(monkeypatch):
+    tracker = PoseTracker()
+    tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3)}),
+                                     sparse_skeleton({CHEST: (3.0, 0.0, 1.3)})]))
+    centroid_filters = [trk.centroid_filter for trk in tracker.tracks]
+    predicted = []
+    real_predict = ukf.predict
+
+    def counting_predict(state, t, cfg):
+        predicted.append(state)
+        return real_predict(state, t, cfg)
+
+    monkeypatch.setattr(ukf, "predict", counting_predict)
+    events = tracker.ingest(_dets("c1", 0.1, [sparse_skeleton({CHEST: (0.01, 0.0, 1.3)}),
+                                              sparse_skeleton({CHEST: (3.01, 0.0, 1.3)})]))
+    assert [e.kind for e in events] == ["updated", "updated"]
+    assert [sum(s is f for s in predicted) for f in centroid_filters] == [1, 1]
 
 
 def test_snapshot_empty_for_fresh_tracker():

@@ -11,8 +11,8 @@ import pytest
 
 from skelfuse.association import build_cost_matrix
 from skelfuse.errors import TimeRegressionError
-from skelfuse.model import CHEST, Skeleton3D
 from skelfuse.ukf import (
+    INIT_VEL_SIGMA,
     FilterState,
     NoiseConfig,
     init_filter,
@@ -29,7 +29,7 @@ class LinearKalman:
 
     def __init__(self, z0, t0, cfg: NoiseConfig):
         self.x = np.concatenate([np.asarray(z0, dtype=float), np.zeros(3)])
-        self.P = np.diag([cfg.meas_sigma**2] * 3 + [cfg.init_vel_sigma**2] * 3)
+        self.P = np.diag([cfg.meas_sigma**2] * 3 + [INIT_VEL_SIGMA**2] * 3)
         self.t = t0
         self.cfg = cfg
 
@@ -78,9 +78,8 @@ CFG = NoiseConfig()
 
 
 def innovation_cost(s, z, t, cfg=CFG):
-    """Cost of one chest-only detection at ``z`` against track filter ``s`` at ``t``."""
-    det = Skeleton3D.from_joints({CHEST: np.asarray(z, dtype=float)})
-    return float(build_cost_matrix([s], [det], t, cfg)[0, 0])
+    """Cost of one detection centroid at ``z`` against track filter ``s`` predicted to ``t``."""
+    return float(build_cost_matrix([predict(s, t, cfg)], [np.asarray(z, dtype=float)], cfg)[0, 0])
 
 
 def test_init_filter_mean_and_velocity():
@@ -94,7 +93,7 @@ def test_init_filter_covariance_pd():
     s = init_filter(np.array([0.0, 0.0, 0.0]), 0.0, CFG)
     np.linalg.cholesky(s.cov)  # must not raise
     assert np.allclose(s.cov[:3, :3], CFG.meas_sigma**2 * np.eye(3))
-    assert np.allclose(s.cov[3:, 3:], CFG.init_vel_sigma**2 * np.eye(3))
+    assert np.allclose(s.cov[3:, 3:], INIT_VEL_SIGMA**2 * np.eye(3))
 
 
 def test_init_filter_deterministic():
