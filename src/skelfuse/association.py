@@ -5,8 +5,8 @@ weighted mean of torso-proximal joints when the chest is missing). A cost
 matrix of squared Mahalanobis innovation distances between track centroid
 filters and detection centroids is solved one-to-one by the Munkres
 (Hungarian) algorithm, and an assigned pair is kept only if its original
-cost lies strictly below the gate. The result partitions detections and
-tracks into matches, track births, and removal candidates. Scoring is pure:
+cost lies strictly below the gate. The result partitions detections into
+matches and track births. Scoring is pure:
 the tracker predicts the centroid filters and drops centroid-less skeletons
 first, so this module knows neither time nor track identity.
 """
@@ -47,13 +47,11 @@ class AssociationResult:
     """Partition of one detection set against the current tracks.
 
     Every detection index lands in exactly one of matches /
-    unmatched_detections, every track row in matches / unmatched_tracks, and
-    no row or index repeats inside matches.
+    unmatched_detections, and no row or index repeats inside matches.
     """
 
     matches: tuple[tuple[int, int], ...]  # (detection index, track row)
     unmatched_detections: tuple[int, ...]
-    unmatched_tracks: tuple[int, ...]
 
 
 def centroid(s: Skeleton3D) -> np.ndarray | None:
@@ -83,16 +81,15 @@ def build_cost_matrix(
     """Squared-Mahalanobis cost matrix, tracks on rows, detections on columns.
 
     Each row scores one track's centroid filter, already predicted to the
-    detection stamp, against every detection centroid.
+    detection stamp, against every detection centroid. The innovation
+    covariance is isotropic, so a cost is ``|z - z_hat|^2 / S``.
     """
-    costs = np.empty((len(predicted), len(centroids)))
-    for i, state in enumerate(predicted):
-        z_hat, S = ukf.predicted_measurement(state, cfg)
-        S_inv = np.linalg.inv(S)
-        for j, c in enumerate(centroids):
-            ztilde = c - z_hat
-            costs[i, j] = float(ztilde @ S_inv @ ztilde)
-    return costs
+    z_hat = np.array([s.position() for s in predicted]).reshape(-1, 3)
+    var = np.array([ukf.innovation_var(s, cfg.meas_sigma) for s in predicted])
+    z = np.array(centroids).reshape(-1, 3)
+    # A distance past float range costs inf by design; munkres never assigns it.
+    with np.errstate(over="ignore"):
+        return ((z[None, :, :] - z_hat[:, None, :]) ** 2).sum(axis=2) / var[:, None]
 
 
 def munkres(cost: np.ndarray) -> dict[int, int]:
@@ -122,17 +119,14 @@ def data_association(
     """Assign detection centroids to predicted track centroid filters.
 
     An assignment survives only if its original cost is strictly below
-    ``eps``; leftover detections become track births, leftover tracks
-    removal candidates.
+    ``eps``; leftover detections become track births.
     """
     cost = build_cost_matrix(predicted, centroids, cfg)
     assignment = munkres(cost)
 
     matches = tuple((j, i) for i, j in assignment.items() if cost[i, j] < eps)
-    matched_dets = {j for j, _ in matches}
-    matched_rows = {i for _, i in matches}
+    matched = {j for j, _ in matches}
     return AssociationResult(
         matches=matches,
-        unmatched_detections=tuple(j for j in range(len(centroids)) if j not in matched_dets),
-        unmatched_tracks=tuple(i for i in range(len(predicted)) if i not in matched_rows),
+        unmatched_detections=tuple(j for j in range(len(centroids)) if j not in matched),
     )

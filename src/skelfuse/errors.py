@@ -22,7 +22,7 @@ class TimeRegressionError(SkelFuseError):
 
 
 class FilterNumericsError(SkelFuseError):
-    """A filter covariance lost symmetry/positive-definiteness or a solve failed."""
+    """A filter covariance is not finite and positive-definite."""
 
 
 class ConfigError(SkelFuseError):

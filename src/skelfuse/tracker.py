@@ -181,7 +181,7 @@ class PoseTracker:
                 predicted = _predict_to(state, t, cfg.noise)
                 joints[j] = predicted.position()
                 valid[j] = True
-                traces[j] = float(np.trace(predicted.position_cov()))
+                traces[j] = 3.0 * predicted.p
             poses.append(TrackPose(
                 track_id=track.track_id,
                 skeleton=Skeleton3D(joints, valid),

@@ -1,13 +1,27 @@
-"""Per-joint linear Kalman filter with constant-velocity motion.
+"""Per-joint linear Kalman filter with constant-velocity motion, in closed form.
 
 State is 6-D: position (m) and velocity (m/s), three axes each. The motion
 model integrates velocity between updates and injects continuous
 white-acceleration process noise, whose discretization is additive: predicting
 over dt1 + dt2 equals predicting over dt1 then dt2. The measurement is the
-3-D position, ``H = [I 0]`` with isotropic noise ``R = meas_sigma^2 I``; a new
-filter starts at rest with velocity std ``INIT_VEL_SIGMA``. Both models are
-linear, so the closed-form Kalman filter is exact; the test suite checks it
-against an independently coded explicit-matrix filter.
+3-D position, ``H = [I 0]`` with isotropic noise ``R = r I``,
+``r = meas_sigma^2``; a new filter starts at rest with position variance ``r``
+and velocity std ``INIT_VEL_SIGMA``. Both models are linear, so the
+closed-form Kalman filter is exact; the test suite checks it against an
+independently coded explicit-matrix filter.
+
+Three numbers carry the 6x6 covariance. Every model matrix acts on the three
+axes alike and couples none of them: ``F = kron([[1, dt], [0, 1]], I3)``, the
+process noise is ``q kron([[dt^3/3, dt^2/2], [dt^2/2, dt]], I3)`` with one
+intensity ``q`` for all axes, ``H = kron([1, 0], I3)``, ``R = r I3`` and the
+start covariance is ``kron(diag(r, INIT_VEL_SIGMA^2), I3)``. Sums, products
+and inverses of such matrices keep the form ``kron(M, I3)``, so predict and
+update map ``kron(P2, I3)`` to ``kron(P2', I3)``: the covariance stays exactly
+``kron([[p, c], [c, v]], I3)``, and each axis runs the same two-state filter
+(Bar-Shalom, Li & Kirubarajan, *Estimation with Applications to Tracking and
+Navigation*, section 6.3). The innovation covariance is ``(p + r) I3``, so the
+gain is two scalars and no matrix is formed or inverted. An anisotropic R,
+per-axis process noise or a non-diagonal start would break this structure.
 
 The module keeps the name ``ukf`` because that is the layer name under which
 the benchmark (``perfbench``) reports filter predict/update time.
@@ -24,10 +38,6 @@ import numpy as np
 
 from .errors import ConfigError, FilterNumericsError, TimeRegressionError
 from .model import Timestamp
-
-STATE_DIM = 6
-MEAS_DIM = 3
-
 
 # Velocity std (m/s) of a new filter: a first sighting says nothing of motion.
 INIT_VEL_SIGMA = 1.0
@@ -55,42 +65,31 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Filter mean (px py pz vx vy vz), covariance, and last update time."""
+    """Filter mean (px py pz vx vy vz), covariance, and last update time.
+
+    The covariance is ``kron([[p, c], [c, v]], I3)``: position variance ``p``,
+    position-velocity covariance ``c`` and velocity variance ``v``, the same
+    on every axis.
+    """
 
     mean: np.ndarray
-    cov: np.ndarray
+    p: float
+    c: float
+    v: float
     last_update: Timestamp
 
     def position(self) -> np.ndarray:
         return self.mean[:3]
 
-    def position_cov(self) -> np.ndarray:
-        return self.cov[:3, :3]
 
+def _positive_definite(p: float, c: float, v: float) -> bool:
+    """Whether the covariance is finite and positive-definite: p > 0, v > 0, c^2 < p v.
 
-def _check_valid(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and verify positive-definiteness (Cholesky must succeed)."""
-    cov = (cov + cov.T) * 0.5
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError("covariance lost positive-definiteness") from exc
-    return cov
-
-
-def process_noise(dt: float, accel_sigma: float) -> np.ndarray:
-    """Continuous white-acceleration covariance integrated over dt, 6x6."""
-    q = accel_sigma**2
-    qpp = q * dt**3 / 3.0
-    qpv = q * dt**2 / 2.0
-    qvv = q * dt
-    Q = np.zeros((STATE_DIM, STATE_DIM))
-    for a in range(3):
-        Q[a, a] = qpp
-        Q[a, a + 3] = qpv
-        Q[a + 3, a] = qpv
-        Q[a + 3, a + 3] = qvv
-    return Q
+    Every comparison with NaN is false, so NaN fails too. ``c / p * c`` stays
+    finite wherever p, c and v are, where ``c * c < p * v`` overflows to
+    ``inf < inf`` on a long but finite prediction.
+    """
+    return 0 < p < np.inf and 0 < v < np.inf and c / p * c < v
 
 
 def init_filter(z0: np.ndarray, t0: Timestamp, cfg: NoiseConfig) -> FilterState:
@@ -98,64 +97,74 @@ def init_filter(z0: np.ndarray, t0: Timestamp, cfg: NoiseConfig) -> FilterState:
     z0 = np.asarray(z0, dtype=float).reshape(3)
     if not np.all(np.isfinite(z0)):
         raise ValueError(f"initial measurement must be finite, got {z0}")
-    mean = np.concatenate([z0, np.zeros(3)])
-    cov = np.diag([cfg.meas_sigma**2] * 3 + [INIT_VEL_SIGMA**2] * 3)
-    return FilterState(mean=mean, cov=cov, last_update=t0)
+    return FilterState(mean=np.concatenate([z0, np.zeros(3)]), p=cfg.meas_sigma**2, c=0.0,
+                       v=INIT_VEL_SIGMA**2, last_update=t0)
 
 
 def predict(s: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
     """Constant-velocity propagation of ``s`` forward to time ``t``.
 
-    ``x <- F x`` and ``P <- F P F' + Q(dt)`` with ``F = [[I, dt I], [0, I]]``.
+    The position moves by ``dt`` times the velocity, and
+    ``P2 <- F2 P2 F2' + Q2(dt)`` with ``F2 = [[1, dt], [0, 1]]`` and
+    ``Q2 = q [[dt^3/3, dt^2/2], [dt^2/2, dt]]``.
 
     Raises:
         TimeRegressionError: if ``t`` precedes ``s.last_update``.
-        FilterNumericsError: if ``t - s.last_update`` is too large for Q(dt)
-            to be a finite float (about 6e102 s at the default sigma).
+        FilterNumericsError: if ``t - s.last_update`` is too large for the
+            process noise to be a finite float (about 3.5e102 s at the
+            default sigma), or ``s`` is not a valid state.
     """
     dt = t - s.last_update
     if dt < 0:
         raise TimeRegressionError(f"predict to {t} before last update {s.last_update}")
-    if dt == 0.0:
-        return FilterState(mean=s.mean.copy(), cov=s.cov.copy(), last_update=t)
-    try:
-        Q = process_noise(dt, cfg.process_accel_sigma)
-    except OverflowError as exc:
-        raise FilterNumericsError(f"process noise overflows over a {dt} s prediction") from exc
+    q = cfg.process_accel_sigma**2
+    c_moved = s.c + dt * s.v
+    p = s.p + dt * s.c + dt * c_moved + q * dt * dt * dt / 3.0
+    c = c_moved + q * dt * dt / 2.0
+    v = s.v + q * dt
+    if not _positive_definite(p, c, v):
+        raise FilterNumericsError(f"process noise overflows over a {dt} s prediction, or the "
+                                  f"state was invalid: p={p}, c={c}, v={v}")
+    mean = s.mean.copy()
+    mean[:3] += dt * s.mean[3:]
+    return FilterState(mean=mean, p=p, c=c, v=v, last_update=t)
 
-    F = np.eye(STATE_DIM)
-    F[0, 3] = F[1, 4] = F[2, 5] = dt
-    mean = F @ s.mean
-    cov = F @ s.cov @ F.T + Q
-    return FilterState(mean=mean, cov=_check_valid(cov), last_update=t)
 
+def innovation_var(s: FilterState, meas_sigma: float) -> float:
+    """Per-axis innovation variance of ``s``: ``S = H P H' + R = (p + meas_sigma^2) I``.
 
-def predicted_measurement(s: FilterState, cfg: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted measurement and innovation covariance ``(z_hat, S)`` of ``s``.
-
-    ``z_hat = H x`` is the position and ``S = H P H' + R = P_pp + meas_sigma^2 I``.
-    This is the one place the measurement model (H, R) is spelled out.
+    With ``H = [I 0]`` the predicted measurement is ``s.position()``.
     """
-    return s.mean[:3], s.cov[:3, :3] + cfg.meas_sigma**2 * np.eye(MEAS_DIM)
+    return s.p + meas_sigma**2
 
 
 def update(s: FilterState, z: np.ndarray, cfg: NoiseConfig) -> FilterState:
     """Kalman position-measurement update of an already-predicted state.
 
-    ``K = P H' S^-1``, ``x <- x + K (z - z_hat)``, ``P <- P - K S K'``.
+    The gain is ``[k1; k2] = [p; c] / S``; ``x <- x + [k1; k2] (z - z_hat)``
+    and ``P2 <- P2 - [k1; k2] S [k1, k2]``, whose first row is
+    ``[k1 r, k2 r]``.
 
     Raises:
         ValueError: if ``z`` is non-finite (the state is left unchanged).
+        FilterNumericsError: if ``s`` is not a valid state.
     """
-    z = np.asarray(z, dtype=float).reshape(MEAS_DIM)
+    z = np.asarray(z, dtype=float).reshape(3)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"measurement must be finite, got {z}")
 
-    z_hat, S = predicted_measurement(s, cfg)
-    try:
-        gain = np.linalg.solve(S, s.cov[:3, :]).T
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError("innovation covariance is singular") from exc
-    mean = s.mean + gain @ (z - z_hat)
-    cov = s.cov - gain @ S @ gain.T
-    return FilterState(mean=mean, cov=_check_valid(cov), last_update=s.last_update)
+    S = innovation_var(s, cfg.meas_sigma)
+    k1 = s.p / S
+    k2 = s.c / S
+    # k1 r, not p - k1 p: once p dwarfs r, as after a gap of hours, k1 rounds
+    # to 1 and the difference cancels to 0.
+    r = cfg.meas_sigma**2
+    p = k1 * r
+    c = k2 * r
+    v = s.v - k2 * s.c
+    if not _positive_definite(p, c, v):
+        raise FilterNumericsError(f"covariance p={p}, c={c}, v={v} is not finite "
+                                  "positive-definite after an update")
+    innovation = z - s.mean[:3]
+    mean = s.mean + np.concatenate([k1 * innovation, k2 * innovation])
+    return FilterState(mean=mean, p=p, c=c, v=v, last_update=s.last_update)

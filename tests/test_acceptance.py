@@ -23,7 +23,7 @@ from skelfuse.ukf import NoiseConfig, init_filter, predict, update
 
 from conftest import make_camera, make_camera_spec, sparse_skeleton, walking_scenario
 from test_association import assert_partition, brute_force_min_cost, _brute_force_gated
-from test_ukf import LinearKalman
+from test_ukf import LinearKalman, full_cov
 
 
 def _bundled(name):
@@ -53,7 +53,7 @@ def test_criterion_1_ukf_linear_kf_equivalence():
             kf.predict(t)
             kf.update(z)
             worst_mean = max(worst_mean, float(np.max(np.abs(s.mean - kf.x))))
-            worst_cov = max(worst_cov, float(np.max(np.abs(s.cov - kf.P))))
+            worst_cov = max(worst_cov, float(np.max(np.abs(full_cov(s) - kf.P))))
     elapsed = time.perf_counter() - t0
     assert worst_mean < 1e-9
     assert worst_cov < 1e-9

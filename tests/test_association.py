@@ -17,6 +17,7 @@ from skelfuse.model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER
 from skelfuse.ukf import NoiseConfig, init_filter, predict
 
 from conftest import sparse_skeleton
+from test_ukf import full_cov
 
 CFG = NoiseConfig()
 
@@ -95,7 +96,7 @@ def test_cost_matrix_elementwise_oracle():
         Q[a + 3, a + 3] = q * t
     for i, trk in enumerate(tracks):
         xp = F @ trk.mean
-        Pp = F @ trk.cov @ F.T + Q
+        Pp = F @ full_cov(trk) @ F.T + Q
         S = H @ Pp @ H.T + CFG.meas_sigma**2 * np.eye(3)
         for j, cent in enumerate(cents):
             zt = cent - H @ xp
@@ -162,7 +163,6 @@ def test_association_no_tracks_all_unmatched():
     res = data_association([], _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0, 1)
-    assert res.unmatched_tracks == ()
 
 
 def test_association_gate_splits_matches():
@@ -171,7 +171,6 @@ def test_association_gate_splits_matches():
     res = data_association([f], _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, CFG)
     assert res.matches == ((0, 0),)
     assert res.unmatched_detections == (1,)
-    assert res.unmatched_tracks == ()
 
 
 def test_association_strict_gate_boundary():
@@ -179,7 +178,6 @@ def test_association_strict_gate_boundary():
     res = data_association([f], _cents([(0.05, 0.0, 0.0)]), 1e-12, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0,)
-    assert res.unmatched_tracks == (0,)
 
 
 def _random_config(rng, n_tracks, n_dets, missing_prob=0.0):
@@ -218,8 +216,9 @@ def assert_partition(res, n_tracks, n_dets):
     """Every detection index and every track row lands exactly once."""
     det_ids = sorted([j for j, _ in res.matches] + list(res.unmatched_detections))
     assert det_ids == list(range(n_dets))
-    rows = sorted([i for _, i in res.matches] + list(res.unmatched_tracks))
-    assert rows == list(range(n_tracks))
+    matched_rows = [i for _, i in res.matches]
+    unmatched_rows = [i for i in range(n_tracks) if i not in matched_rows]
+    assert sorted(matched_rows + unmatched_rows) == list(range(n_tracks))
 
 
 def test_association_matches_gated_brute_force():
@@ -267,5 +266,5 @@ def test_detection_permutation_stability():
 
 
 def test_association_result_is_value_object():
-    r = AssociationResult(matches=((0, 1),), unmatched_detections=(1,), unmatched_tracks=())
+    r = AssociationResult(matches=((0, 1),), unmatched_detections=(1,))
     assert r.matches == ((0, 1),)

@@ -132,6 +132,17 @@ def test_huge_stamp_gap_exits_2(gap, tmp_path, capsys):
     assert "process noise overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gap", [3e4, 1e6, 1e100])
+def test_long_stamp_gap_tracks(gap, tmp_path):
+    # A pause of hours or more is predicted across and the track updated; the
+    # posterior position variance must not cancel to 0 when p dwarfs r.
+    stream, calib = _valid_inputs()
+    stream[0]["stamp"], stream[1]["stamp"] = 0.0, gap
+    assert _track(tmp_path, stream, calib) == 0
+    events = (tmp_path / "out" / "events.jsonl").read_text().splitlines()
+    assert [json.loads(line)["event"] for line in events] == ["created", "updated"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--gating-eps", "0"],
     ["--max-track-age", "0"],

@@ -128,7 +128,7 @@ def test_centroidless_detection_never_births():
 
 def _filter_bytes(track):
     filters = [track.centroid_filter, *(f for f in track.joint_filters if f is not None)]
-    return [(f.mean.tobytes(), f.cov.tobytes(), f.last_update) for f in filters]
+    return [(f.mean.tobytes(), np.array([f.p, f.c, f.v]).tobytes(), f.last_update) for f in filters]
 
 
 @pytest.mark.parametrize("extra, births", [
@@ -136,7 +136,6 @@ def _filter_bytes(track):
     # A finite centroid whose squared Mahalanobis cost overflows to inf.
     (sparse_skeleton({CHEST: (1e200, 0.0, 1.3)}), 1),
 ], ids=["centroid-less", "chest-at-1e200m"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_unmatchable_detection_leaves_match_bit_identical(extra, births):
     def run(skeletons):
         tracker = PoseTracker()
@@ -228,7 +227,8 @@ def test_deterministic_replay_bit_identical():
             tracker.ingest(e.detections)
         for trk in tracker.tracks:
             history.append(trk.centroid_filter.mean.tobytes())
-            history.append(trk.centroid_filter.cov.tobytes())
+            history.append(np.array([trk.centroid_filter.p, trk.centroid_filter.c,
+                                     trk.centroid_filter.v]).tobytes())
             for f in trk.joint_filters:
                 if f is not None:
                     history.append(f.mean.tobytes())

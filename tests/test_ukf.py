@@ -2,24 +2,35 @@
 
 The central oracle: the filter must coincide with an independently coded
 explicit-matrix linear Kalman filter to numerical precision on any input
-sequence. Innovation costs are checked through the association cost matrix,
-the one production path that scores a candidate measurement.
+sequence, its three covariance numbers expanded to the full 6x6 matrix by
+``full_cov``. Innovation costs are checked through the association cost
+matrix, the one production path that scores a candidate measurement.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from skelfuse.association import build_cost_matrix
-from skelfuse.errors import TimeRegressionError
+from skelfuse.errors import FilterNumericsError, TimeRegressionError
 from skelfuse.ukf import (
     INIT_VEL_SIGMA,
     FilterState,
     NoiseConfig,
     init_filter,
     predict,
-    process_noise,
     update,
 )
+
+
+def full_cov(s):
+    """The 6x6 covariance a ``FilterState`` stands for: kron([[p, c], [c, v]], I3)."""
+    return np.kron([[s.p, s.c], [s.c, s.v]], np.eye(3))
+
+
+def pcv(s):
+    return (s.p, s.c, s.v)
 
 
 class LinearKalman:
@@ -91,16 +102,15 @@ def test_init_filter_mean_and_velocity():
 
 def test_init_filter_covariance_pd():
     s = init_filter(np.array([0.0, 0.0, 0.0]), 0.0, CFG)
-    np.linalg.cholesky(s.cov)  # must not raise
-    assert np.allclose(s.cov[:3, :3], CFG.meas_sigma**2 * np.eye(3))
-    assert np.allclose(s.cov[3:, 3:], INIT_VEL_SIGMA**2 * np.eye(3))
+    np.linalg.cholesky(full_cov(s))  # must not raise
+    assert np.array_equal(full_cov(s), np.diag([CFG.meas_sigma**2] * 3 + [INIT_VEL_SIGMA**2] * 3))
 
 
 def test_init_filter_deterministic():
     a = init_filter(np.array([1.0, -1.0, 2.0]), 0.5, CFG)
     b = init_filter(np.array([1.0, -1.0, 2.0]), 0.5, CFG)
     assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.cov, b.cov)
+    assert pcv(a) == pcv(b)
 
 
 def test_init_filter_rejects_nonfinite():
@@ -112,13 +122,13 @@ def test_predict_zero_dt_is_identity():
     s = init_filter(np.array([1.0, 2.0, 3.0]), 1.0, CFG)
     p = predict(s, 1.0, CFG)
     assert np.array_equal(p.mean, s.mean)
-    assert np.array_equal(p.cov, s.cov)
+    assert pcv(p) == pcv(s)
 
 
 def test_predict_constant_velocity_motion():
     s = FilterState(
         mean=np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
-        cov=np.eye(6) * 0.01,
+        p=0.01, c=0.0, v=0.01,
         last_update=0.0,
     )
     p = predict(s, 0.5, CFG)
@@ -139,9 +149,9 @@ def test_predict_inflates_position_covariance():
     t = 0.0
     for _ in range(20):
         t += rng.uniform(0.01, 0.3)
-        before = s.cov[:3, :3].copy()
+        before = full_cov(s)[:3, :3]
         s = predict(s, t, CFG)
-        diff = s.cov[:3, :3] - before
+        diff = full_cov(s)[:3, :3] - before
         assert np.min(np.linalg.eigvalsh(diff)) > -1e-12
         s = update(s, s.position() + rng.normal(0, 0.05, 3), CFG)
 
@@ -151,7 +161,7 @@ def test_update_zero_innovation_keeps_mean_shrinks_cov():
     s = predict(s, 0.1, CFG)
     u = update(s, s.position(), CFG)
     assert np.allclose(u.position(), s.position(), atol=1e-12)
-    diff = s.cov[:3, :3] - u.cov[:3, :3]
+    diff = full_cov(s)[:3, :3] - full_cov(u)[:3, :3]
     assert np.min(np.linalg.eigvalsh(diff)) > 0.0
 
 
@@ -196,7 +206,7 @@ def test_ukf_equals_linear_kf_on_random_sequences():
             s = update(s, z, CFG)
             kf.update(z)
             assert np.max(np.abs(s.mean - kf.x)) < 1e-9
-            assert np.max(np.abs(s.cov - kf.P)) < 1e-9
+            assert np.max(np.abs(full_cov(s) - kf.P)) < 1e-9
 
 
 def test_innovation_cost_zero_at_predicted_position():
@@ -212,7 +222,7 @@ def test_innovation_cost_identity_covariance_is_squared_distance():
     pos_var = 1.0 - cfg.meas_sigma**2
     s = FilterState(
         mean=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-        cov=np.diag([pos_var] * 3 + [1e-6] * 3),
+        p=pos_var, c=0.0, v=1e-6,
         last_update=0.0,
     )
     z = np.array([1.0, 2.0, 2.0])
@@ -243,10 +253,10 @@ def test_innovation_cost_matches_direct_solve():
 def test_innovation_cost_does_not_mutate_state():
     s = init_filter(np.array([1.0, 2.0, 3.0]), 0.0, CFG)
     mean_before = s.mean.copy()
-    cov_before = s.cov.copy()
+    pcv_before = pcv(s)
     innovation_cost(s, np.array([5.0, 5.0, 5.0]), 1.0, CFG)
     assert np.array_equal(s.mean, mean_before)
-    assert np.array_equal(s.cov, cov_before)
+    assert pcv(s) == pcv_before
     assert s.last_update == 0.0
 
 
@@ -263,7 +273,9 @@ def test_innovation_cost_rotation_invariant():
     s = update(predict(s, 0.2, CFG), rng.uniform(-1, 1, 3), CFG)
     z = rng.uniform(-2, 2, 3)
 
-    s_rot = FilterState(mean=R6 @ s.mean, cov=R6 @ s.cov @ R6.T, last_update=s.last_update)
+    # A covariance kron(P2, I3) is unchanged by rotating all three axes alike.
+    assert np.allclose(R6 @ full_cov(s) @ R6.T, full_cov(s), rtol=0, atol=1e-15)
+    s_rot = FilterState(mean=R6 @ s.mean, p=s.p, c=s.c, v=s.v, last_update=s.last_update)
     c1 = innovation_cost(s, z, 0.5, CFG)
     c2 = innovation_cost(s_rot, q @ z, 0.5, CFG)
     assert c2 == pytest.approx(c1, rel=1e-9)
@@ -279,7 +291,7 @@ def test_predict_split_consistency():
         one_shot = predict(s, s.last_update + dt1 + dt2, CFG)
         stepped = predict(predict(s, s.last_update + dt1, CFG), s.last_update + dt1 + dt2, CFG)
         assert np.max(np.abs(one_shot.mean - stepped.mean)) < 1e-9
-        assert np.max(np.abs(one_shot.cov - stepped.cov)) < 1e-9
+        assert np.max(np.abs(np.subtract(pcv(one_shot), pcv(stepped)))) < 1e-9
 
 
 def test_covariance_stays_symmetric_pd_under_long_runs():
@@ -291,14 +303,44 @@ def test_covariance_stays_symmetric_pd_under_long_runs():
         s = predict(s, t, CFG)
         if rng.random() < 0.7:
             s = update(s, rng.uniform(-4, 4, 3), CFG)
-        assert np.max(np.abs(s.cov - s.cov.T)) < 1e-12
-        np.linalg.cholesky(s.cov)
+        cov = full_cov(s)
+        assert np.max(np.abs(cov - cov.T)) < 1e-12
+        np.linalg.cholesky(cov)
 
 
-def test_process_noise_shape_and_scaling():
-    Q1 = process_noise(0.1, 2.0)
-    assert Q1.shape == (6, 6)
-    assert np.allclose(Q1, Q1.T)
-    # velocity block scales linearly in dt
-    Q2 = process_noise(0.2, 2.0)
-    assert Q2[3, 3] == pytest.approx(2 * Q1[3, 3])
+def test_process_noise_increments():
+    # dt a power of two and q = 4 keep q*dt and q*dt^2/2 exact, so the
+    # increments can be compared bit for bit; so does last_update = 0.5.
+    q = CFG.process_accel_sigma**2
+    s = update(predict(init_filter(np.zeros(3), 0.0, CFG), 0.5, CFG), np.full(3, 0.1), CFG)
+    assert s.c != 0.0
+    for dt in (0.125, 0.25, 0.5):
+        u = predict(s, s.last_update + dt, CFG)
+        assert u.v == s.v + q * dt
+        assert u.c == s.c + dt * s.v + q * dt * dt / 2
+        assert u.p == pytest.approx(s.p + 2 * dt * s.c + dt**2 * s.v + q * dt**3 / 3, rel=1e-15)
+
+
+NONFINITE = [("p", np.nan), ("p", np.inf), ("c", np.nan), ("c", np.inf), ("c", -np.inf),
+             ("v", np.nan), ("v", np.inf)]
+
+
+@pytest.mark.parametrize("field, value", NONFINITE)
+def test_nonfinite_covariance_raises(field, value):
+    s = update(predict(init_filter(np.zeros(3), 0.0, CFG), 0.3, CFG), np.full(3, 0.1), CFG)
+    bad = replace(s, **{field: value})
+    with pytest.raises(FilterNumericsError):
+        predict(bad, bad.last_update + 0.1, CFG)
+    with pytest.raises(FilterNumericsError):
+        update(bad, np.full(3, 0.2), CFG)
+
+
+def test_long_gap_boundary():
+    s = init_filter(np.zeros(3), 0.0, CFG)
+    far = predict(s, 1e100, CFG)
+    assert 3 * far.p == pytest.approx(4e300, rel=1e-12)
+    assert np.all(np.isfinite(far.mean)) and np.isfinite(far.c) and np.isfinite(far.v)
+    # The first measurement after the gap pins the position variance to r.
+    assert update(far, np.ones(3), CFG).p == pytest.approx(CFG.meas_sigma**2, rel=1e-12)
+    with pytest.raises(FilterNumericsError):
+        predict(s, 1e103, CFG)
