@@ -16,7 +16,7 @@ from .model import (
     Skeleton3D,
     joint_name,
 )
-from .tracker import FusedSnapshot, PoseTracker, Track, TrackerConfig, TrackEvent
+from .tracker import FusedSnapshot, PoseTracker, TrackerConfig, TrackEvent
 from .ukf import FilterState, NoiseConfig
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "NoiseConfig",
     "PoseTracker",
     "Skeleton3D",
-    "Track",
     "TrackEvent",
     "TrackerConfig",
     "joint_name",

@@ -8,7 +8,15 @@ unseen for longer than the age limit are retired. Stale detections within a
 small tolerance are applied with their filter time clamped (dt = 0); older
 ones are dropped with a logged staleness error and counted. The tracker alone
 handles time: per set it computes each centroid once, dropping centroid-less
-skeletons, predicts each centroid filter once, and association scores those.
+skeletons, predicts the centroid filters once, and association scores those.
+
+All filters live in one table, a ``FilterState`` of shape ``(T, 16)``: one
+row per track in birth order, columns 0-14 its joints and column 15 its
+centroid. Beside it sit an ``initialized (T, 16)`` mask (a joint's filter
+starts at its first valid measurement) and per-row track ids, hit counts and
+last-seen stamps. An ingest predicts and updates all the rows it touches in a
+fixed handful of ``ukf`` calls, and a snapshot predicts all the rows it reads
+in one. A birth appends a row; a retirement compacts the table in order.
 
 Track ids are never reused within a tracker instance. Identical ingest
 sequences produce bit-identical track histories.
@@ -32,6 +40,10 @@ log = logging.getLogger(__name__)
 # pseudo-measurement: without the chest, the fallback weighted mean can sit
 # decimeters from it, so joint-level noise would gate out genuine detections.
 CENTROID_MEAS_SIGMA = 0.2
+
+# Filter table columns: the JOINT_COUNT joints, then the centroid.
+CENTROID = JOINT_COUNT
+COLUMNS = JOINT_COUNT + 1
 
 
 @dataclass(frozen=True)
@@ -58,21 +70,6 @@ class TrackerConfig:
             raise ConfigError("stale_tolerance must be non-negative")
 
 
-@dataclass
-class Track:
-    """Persistent person identity: one filter per joint plus a centroid filter.
-
-    ``joint_filters`` entries stay None until the joint's first valid
-    measurement (lazy initialization).
-    """
-
-    track_id: int
-    centroid_filter: FilterState
-    joint_filters: list[FilterState | None]
-    last_seen: Timestamp
-    hits: int = 1
-
-
 @dataclass(frozen=True)
 class TrackEvent:
     kind: str  # "created" | "updated" | "retired"
@@ -97,19 +94,27 @@ class FusedSnapshot:
 
 
 class PoseTracker:
-    """Fuses asynchronous world-frame detection streams into person tracks."""
+    """Fuses asynchronous world-frame detection streams into person tracks.
+
+    The track table, one row per live track in birth order, is public to
+    read: ``filters`` (a ``FilterState`` of shape ``(T, 16)``, columns 0-14
+    the joints and ``CENTROID`` the centroid), ``initialized (T, 16)``,
+    ``track_ids``, ``hits`` and ``last_seen``. Only ``ingest`` changes it.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self._centroid_noise = replace(self.config.noise, meas_sigma=CENTROID_MEAS_SIGMA)
-        self._tracks: dict[int, Track] = {}
+        self.filters = FilterState(mean=np.zeros((0, COLUMNS, 6)), p=np.zeros((0, COLUMNS)),
+                                   c=np.zeros((0, COLUMNS)), v=np.zeros((0, COLUMNS)),
+                                   last_update=np.zeros((0, COLUMNS)))
+        self.initialized = np.zeros((0, COLUMNS), dtype=bool)
+        self.track_ids = np.zeros(0, dtype=np.int64)
+        self.hits = np.zeros(0, dtype=np.int64)
+        self.last_seen = np.zeros(0)
         self._next_id = 1
         self._latest_stamp: Timestamp | None = None
         self.stale_rejections = 0
-
-    @property
-    def tracks(self) -> list[Track]:
-        return list(self._tracks.values())
 
     def ingest(self, dets: DetectionSet) -> list[TrackEvent]:
         """Associate one detection set and update the track table.
@@ -129,34 +134,40 @@ class PoseTracker:
             )
             return []
 
-        detections: list[tuple[Skeleton3D, np.ndarray]] = []
+        skeletons: list[Skeleton3D] = []
+        centroids: list[np.ndarray] = []
         for skel in dets.skeletons:
             cent = association.centroid(skel)
             if cent is None:
                 log.debug("dropping centroid-less detection from %s at %.6f", dets.camera_id, t)
             else:
-                detections.append((skel, cent))
+                skeletons.append(skel)
+                centroids.append(cent)
 
         # A set with no centroid scores nothing, so no filter is predicted for it.
-        tracks = list(self._tracks.values()) if detections else []
-        predicted = [_predict_to(trk.centroid_filter, t, self._centroid_noise) for trk in tracks]
-        result = association.data_association(
-            predicted, [cent for _, cent in detections], cfg.gating_eps, self._centroid_noise
-        )
+        n_tracks = len(self.track_ids)
+        predicted = self.filters[:0, CENTROID]
+        if centroids and n_tracks:
+            predicted = _predict_to(self.filters[:, CENTROID], t, self._centroid_noise)
+        result = association.data_association(predicted, centroids, cfg.gating_eps,
+                                              self._centroid_noise)
 
-        events: list[TrackEvent] = []
-        for det_idx, row in result.matches:
-            self._apply_match(tracks[row], predicted[row], *detections[det_idx], t)
-            events.append(TrackEvent("updated", tracks[row].track_id, t, dets.camera_id))
+        matched = np.array([row for _, row in result.matches], dtype=np.int64)
+        events = [TrackEvent("updated", track_id, t, dets.camera_id)
+                  for track_id in self.track_ids[matched].tolist()]
+        order = [det for det, _ in result.matches] + list(result.unmatched_detections)
+        if order:
+            born = self._append(len(result.unmatched_detections), t)
+            events += [TrackEvent("created", track_id, t, dets.camera_id)
+                       for track_id in self.track_ids[born].tolist()]
+            self._fuse(matched, born, predicted[matched], [skeletons[d] for d in order],
+                       np.array([centroids[d] for d in order]), t)
 
-        for det_idx in result.unmatched_detections:
-            track = self._birth(*detections[det_idx], t)
-            events.append(TrackEvent("created", track.track_id, t, dets.camera_id))
-
-        for track_id in [tid for tid, trk in self._tracks.items()
-                         if t - trk.last_seen > cfg.max_track_age]:
-            del self._tracks[track_id]
-            events.append(TrackEvent("retired", track_id, t, dets.camera_id))
+        retired = t - self.last_seen > cfg.max_track_age
+        if retired.any():
+            events += [TrackEvent("retired", track_id, t, dets.camera_id)
+                       for track_id in self.track_ids[retired].tolist()]
+            self._keep(~retired)
 
         self._latest_stamp = t if self._latest_stamp is None else max(self._latest_stamp, t)
         return events
@@ -165,66 +176,99 @@ class PoseTracker:
         """Read-only view of the confirmed tracks with filters extrapolated to ``t``.
 
         The tracker state is not modified; filters older than ``t`` are
-        predicted forward, never rewound.
+        predicted forward, never rewound. Rows are in birth order, so the
+        poses come out sorted by track id.
         """
-        cfg = self.config
-        poses = []
-        for track in self._tracks.values():
-            if track.hits < cfg.min_hits_to_confirm:
-                continue
-            joints = np.zeros((JOINT_COUNT, 3))
-            valid = np.zeros(JOINT_COUNT, dtype=bool)
-            traces: list[float | None] = [None] * JOINT_COUNT
-            for j, state in enumerate(track.joint_filters):
-                if state is None:
-                    continue
-                predicted = _predict_to(state, t, cfg.noise)
-                joints[j] = predicted.position()
-                valid[j] = True
-                traces[j] = 3.0 * predicted.p
-            poses.append(TrackPose(
-                track_id=track.track_id,
-                skeleton=Skeleton3D(joints, valid),
-                cov_traces=tuple(traces),
-            ))
-        poses.sort(key=lambda p: p.track_id)
-        return FusedSnapshot(stamp=t, tracks=tuple(poses))
-
-    def _apply_match(self, track: Track, centroid_predicted: FilterState, skel: Skeleton3D,
-                     cent: np.ndarray, t: Timestamp) -> None:
-        cfg = self.config.noise
-        track.centroid_filter = ukf.update(centroid_predicted, cent, self._centroid_noise)
-        for j in range(JOINT_COUNT):
-            state = track.joint_filters[j]
-            if state is None:
-                if skel.valid[j]:
-                    track.joint_filters[j] = ukf.init_filter(skel.joints[j], t, cfg)
-                continue
-            predicted = _predict_to(state, t, cfg)
-            if skel.valid[j]:
-                track.joint_filters[j] = ukf.update(predicted, skel.joints[j], cfg)
-            else:
-                track.joint_filters[j] = predicted  # predict-only, mean untouched by update
-        track.last_seen = max(track.last_seen, t)
-        track.hits += 1
-
-    def _birth(self, skel: Skeleton3D, cent: np.ndarray, t: Timestamp) -> Track:
-        cfg = self.config.noise
-        joint_filters: list[FilterState | None] = [
-            ukf.init_filter(skel.joints[j], t, cfg) if skel.valid[j] else None
-            for j in range(JOINT_COUNT)
-        ]
-        track = Track(
-            track_id=self._next_id,
-            centroid_filter=ukf.init_filter(cent, t, self._centroid_noise),
-            joint_filters=joint_filters,
-            last_seen=t,
+        confirmed = np.flatnonzero(self.hits >= self.config.min_hits_to_confirm)
+        if not len(confirmed):
+            return FusedSnapshot(stamp=t, tracks=())
+        valid = self.initialized[confirmed, :JOINT_COUNT]
+        rows, joints = np.nonzero(valid)
+        predicted = _predict_to(self.filters[confirmed[rows], joints], t, self.config.noise)
+        positions = np.zeros((len(confirmed), JOINT_COUNT, 3))
+        positions[rows, joints] = predicted.position()
+        traces = np.zeros((len(confirmed), JOINT_COUNT))
+        traces[rows, joints] = 3.0 * predicted.p
+        poses = tuple(
+            TrackPose(track_id=track_id, skeleton=Skeleton3D(pos, ok), cov_traces=tuple(trace))
+            for track_id, pos, ok, trace in zip(self.track_ids[confirmed].tolist(), positions,
+                                                valid, np.where(valid, traces, None).tolist())
         )
-        self._next_id += 1
-        self._tracks[track.track_id] = track
-        return track
+        return FusedSnapshot(stamp=t, tracks=poses)
+
+    def _fuse(self, matched: np.ndarray, born: np.ndarray, centroid_predicted: FilterState,
+              skeletons: list[Skeleton3D], centroids: np.ndarray, t: Timestamp) -> None:
+        """Update the ``matched`` rows and start the ``born`` ones from their detections.
+
+        ``skeletons`` and ``centroids`` hold the matched rows' detections
+        first, then the newborns'. ``centroid_predicted`` is the matched
+        rows' centroid column, already predicted to ``t``.
+        """
+        noise = self.config.noise
+        n = len(matched)
+        if n:
+            _store(self.filters, (matched, CENTROID),
+                   ukf.update(centroid_predicted, centroids[:n], self._centroid_noise))
+            self.last_seen[matched] = np.maximum(self.last_seen[matched], t)
+            self.hits[matched] += 1
+        if len(born):
+            _store(self.filters, (born, CENTROID),
+                   ukf.init_filter(centroids[n:], t, self._centroid_noise))
+            self.initialized[born, CENTROID] = True
+
+        rows = np.concatenate([matched, born])
+        measured = np.array([s.joints for s in skeletons])
+        valid = np.array([s.valid for s in skeletons])
+        started = self.initialized[rows, :JOINT_COUNT]
+        # Newborn rows have started no joint, so these are matched rows.
+        r, j = np.nonzero(started)
+        if len(r):
+            predicted = _predict_to(self.filters[rows[r], j], t, noise)
+            seen = valid[r, j]
+            _store(self.filters, (rows[r], j), predicted)  # predict-only where unseen
+            _store(self.filters, (rows[r[seen]], j[seen]),
+                   ukf.update(predicted[seen], measured[r[seen], j[seen]], noise))
+        r, j = np.nonzero(valid & ~started)
+        if len(r):
+            _store(self.filters, (rows[r], j), ukf.init_filter(measured[r, j], t, noise))
+            self.initialized[rows[r], j] = True
+
+    def _append(self, n: int, t: Timestamp) -> np.ndarray:
+        """Add ``n`` rows for tracks born at ``t``, with new ids; return their indices.
+
+        A new row has one hit and no filter started yet.
+        """
+        first_row, first_id = len(self.track_ids), self._next_id
+        if not n:
+            return np.arange(first_row, first_row)
+        self._next_id += n
+        f = self.filters
+        self.filters = FilterState(*(np.concatenate([a, np.zeros((n, *a.shape[1:]))])
+                                     for a in (f.mean, f.p, f.c, f.v, f.last_update)))
+        self.initialized = np.concatenate([self.initialized, np.zeros((n, COLUMNS), dtype=bool)])
+        self.track_ids = np.concatenate([self.track_ids, np.arange(first_id, first_id + n)])
+        self.hits = np.concatenate([self.hits, np.ones(n, dtype=np.int64)])
+        self.last_seen = np.concatenate([self.last_seen, np.full(n, t)])
+        return np.arange(first_row, first_row + n)
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Compact the table to ``rows`` (a mask), keeping their order."""
+        self.filters = self.filters[rows]
+        self.initialized = self.initialized[rows]
+        self.track_ids = self.track_ids[rows]
+        self.hits = self.hits[rows]
+        self.last_seen = self.last_seen[rows]
+
+
+def _store(table: FilterState, at, rows: FilterState) -> None:
+    """Write ``rows`` into ``table`` at the index ``at``."""
+    table.mean[at] = rows.mean
+    table.p[at] = rows.p
+    table.c[at] = rows.c
+    table.v[at] = rows.v
+    table.last_update[at] = rows.last_update
 
 
 def _predict_to(state: FilterState, t: Timestamp, cfg: NoiseConfig) -> FilterState:
-    """Predict ``state`` to ``t``, clamped so a stale stamp never rewinds it."""
-    return ukf.predict(state, max(t, state.last_update), cfg)
+    """Predict every row of ``state`` to ``t``, clamped so a stale stamp never rewinds one."""
+    return ukf.predict(state, np.maximum(t, state.last_update), cfg)

@@ -43,17 +43,17 @@ def test_criterion_1_ukf_linear_kf_equivalence():
     worst_mean, worst_cov = 0.0, 0.0
     for _ in range(100):
         z0 = rng.uniform(-3, 3, 3)
-        s = init_filter(z0, 0.0, cfg)
+        s = init_filter(z0[None], 0.0, cfg)  # one row
         kf = LinearKalman(z0, 0.0, cfg)
         t = 0.0
         for _ in range(50):
             t += rng.uniform(0.005, 0.5)
             z = rng.uniform(-4, 4, 3)
-            s = update(predict(s, t, cfg), z, cfg)
+            s = update(predict(s, t, cfg), z[None], cfg)
             kf.predict(t)
             kf.update(z)
             worst_mean = max(worst_mean, float(np.max(np.abs(s.mean - kf.x))))
-            worst_cov = max(worst_cov, float(np.max(np.abs(full_cov(s) - kf.P))))
+            worst_cov = max(worst_cov, float(np.max(np.abs(full_cov(s)[0] - kf.P))))
     elapsed = time.perf_counter() - t0
     assert worst_mean < 1e-9
     assert worst_cov < 1e-9
@@ -163,7 +163,7 @@ def test_criterion_5_association_partition_and_gated_optimum():
     for _ in range(1000):
         n_tracks = int(rng.integers(0, 6))
         n_dets = int(rng.integers(0, 6))
-        filters = [init_filter(rng.uniform(-3, 3, 3), 0.0, cfg) for _ in range(n_tracks)]
+        filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, cfg)
         skels = []
         for _ in range(n_dets):
             if rng.random() < 0.1:
@@ -171,14 +171,14 @@ def test_criterion_5_association_partition_and_gated_optimum():
             else:
                 skels.append(sparse_skeleton({CHEST: tuple(rng.uniform(-3, 3, 3))}))
         stamp = float(rng.uniform(0, 0.4))
-        # As the tracker does: drop centroid-less skeletons, predict each filter once.
+        # As the tracker does: drop centroid-less skeletons, predict all rows in one call.
         cents = [c for c in map(centroid, skels) if c is not None]
-        predicted = [predict(f, stamp, cfg) for f in filters]
+        predicted = predict(filters, stamp, cfg)
         eps = float(rng.uniform(0.5, 25.0))
         res = data_association(predicted, cents, eps, cfg)
         assert_partition(res, n_tracks, len(cents))
 
-        if predicted and cents:
+        if n_tracks and cents:
             cost = build_cost_matrix(predicted, cents, cfg)
             expect, unique = _brute_force_gated(cost, eps)
             if unique:

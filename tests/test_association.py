@@ -65,13 +65,13 @@ def _cents(points):
 
 
 def test_cost_matrix_no_tracks():
-    c = build_cost_matrix([], _cents([(0, 0, 1)]), CFG)
+    c = build_cost_matrix(init_filter(np.zeros((0, 3)), 0.0, CFG), _cents([(0, 0, 1)]), CFG)
     assert c.shape == (0, 1)
 
 
 def test_cost_matrix_zero_at_predicted_position():
-    f = init_filter(np.array([1.0, 1.0, 1.0]), 0.0, CFG)
-    c = build_cost_matrix([f], _cents([(1.0, 1.0, 1.0)]), CFG)
+    f = init_filter(np.array([[1.0, 1.0, 1.0]]), 0.0, CFG)
+    c = build_cost_matrix(f, _cents([(1.0, 1.0, 1.0)]), CFG)
     assert c.shape == (1, 1)
     assert c[0, 0] == pytest.approx(0.0, abs=1e-18)
 
@@ -80,10 +80,10 @@ def test_cost_matrix_elementwise_oracle():
     # 2x3 case recomputed element by element with explicit matrices
     # (independent of the production filter code).
     rng = np.random.default_rng(3)
-    tracks = [init_filter(rng.uniform(-1, 1, 3), 0.0, CFG) for _ in range(2)]
+    tracks = init_filter(rng.uniform(-1, 1, (2, 3)), 0.0, CFG)
     cents = [rng.uniform(-1, 1, 3) for _ in range(3)]
     t = 0.25
-    c = build_cost_matrix([predict(f, t, CFG) for f in tracks], cents, CFG)
+    c = build_cost_matrix(predict(tracks, t, CFG), cents, CFG)
 
     H = np.hstack([np.eye(3), np.zeros((3, 3))])
     F = np.eye(6)
@@ -94,9 +94,9 @@ def test_cost_matrix_elementwise_oracle():
         Q[a, a] = q * t**3 / 3.0
         Q[a, a + 3] = Q[a + 3, a] = q * t**2 / 2.0
         Q[a + 3, a + 3] = q * t
-    for i, trk in enumerate(tracks):
-        xp = F @ trk.mean
-        Pp = F @ full_cov(trk) @ F.T + Q
+    for i, (mean, cov) in enumerate(zip(tracks.mean, full_cov(tracks))):
+        xp = F @ mean
+        Pp = F @ cov @ F.T + Q
         S = H @ Pp @ H.T + CFG.meas_sigma**2 * np.eye(3)
         for j, cent in enumerate(cents):
             zt = cent - H @ xp
@@ -160,33 +160,34 @@ def test_munkres_matches_brute_force_randomized():
 # --- data_association -----------------------------------------------------------
 
 def test_association_no_tracks_all_unmatched():
-    res = data_association([], _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, CFG)
+    no_tracks = init_filter(np.zeros((0, 3)), 0.0, CFG)
+    res = data_association(no_tracks, _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0, 1)
 
 
 def test_association_gate_splits_matches():
-    f = init_filter(np.array([0.0, 0.0, 1.0]), 0.0, CFG)
+    f = init_filter(np.array([[0.0, 0.0, 1.0]]), 0.0, CFG)
     # det 0 at the predicted position; det 1 far beyond the gate
-    res = data_association([f], _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, CFG)
+    res = data_association(f, _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, CFG)
     assert res.matches == ((0, 0),)
     assert res.unmatched_detections == (1,)
 
 
 def test_association_strict_gate_boundary():
-    f = init_filter(np.array([0.0, 0.0, 0.0]), 0.0, CFG)
-    res = data_association([f], _cents([(0.05, 0.0, 0.0)]), 1e-12, CFG)
+    f = init_filter(np.array([[0.0, 0.0, 0.0]]), 0.0, CFG)
+    res = data_association(f, _cents([(0.05, 0.0, 0.0)]), 1e-12, CFG)
     assert res.matches == ()
     assert res.unmatched_detections == (0,)
 
 
 def _random_config(rng, n_tracks, n_dets, missing_prob=0.0):
     """Predicted track filters and detection centroids; a missing one is dropped."""
-    filters = [init_filter(rng.uniform(-3, 3, 3), 0.0, CFG) for _ in range(n_tracks)]
+    filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, CFG)
     points = [None if rng.random() < missing_prob else tuple(rng.uniform(-3, 3, 3))
               for _ in range(n_dets)]
     stamp = float(rng.uniform(0, 0.5))
-    return ([predict(f, stamp, CFG) for f in filters],
+    return (predict(filters, stamp, CFG),
             _cents(p for p in points if p is not None))
 
 
@@ -232,7 +233,7 @@ def test_association_matches_gated_brute_force():
         res = data_association(predicted, cents, eps, CFG)
         assert_partition(res, n_tracks, len(cents))
 
-        if predicted and cents:
+        if n_tracks and cents:
             cost = build_cost_matrix(predicted, cents, CFG)
             expect, unique = _brute_force_gated(cost, eps)
             if unique:
@@ -254,7 +255,7 @@ def test_gating_monotonicity():
 
 def test_detection_permutation_stability():
     # Permuting detections permutes indices but keeps (track, centroid) pairs.
-    filters = [init_filter(np.array([float(i), 0.0, 1.0]), 0.0, CFG) for i in range(3)]
+    filters = init_filter(np.array([[float(i), 0.0, 1.0] for i in range(3)]), 0.0, CFG)
     points = [(0.02, 0.0, 1.0), (1.01, 0.05, 1.0), (2.0, -0.03, 1.0)]
     base = data_association(filters, _cents(points), DEFAULT_GATE, CFG)
     base_pairs = {(points[j], row) for j, row in base.matches}

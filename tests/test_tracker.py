@@ -5,7 +5,7 @@ import pytest
 
 from skelfuse import ukf
 from skelfuse.model import CHEST, DetectionSet
-from skelfuse.tracker import PoseTracker, TrackerConfig
+from skelfuse.tracker import CENTROID, PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig
 
 from conftest import full_skeleton, sparse_skeleton, walking_scenario
@@ -20,8 +20,8 @@ def test_first_detection_creates_track():
     tracker = PoseTracker()
     events = tracker.ingest(_dets("c0", 0.0, [full_skeleton()]))
     assert [e.kind for e in events] == ["created"]
-    assert len(tracker.tracks) == 1
-    assert tracker.tracks[0].hits == 1
+    assert tracker.track_ids.tolist() == [1]
+    assert tracker.hits.tolist() == [1]
 
 
 def test_near_detection_updates_not_creates():
@@ -29,8 +29,8 @@ def test_near_detection_updates_not_creates():
     tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3)})]))
     events = tracker.ingest(_dets("c1", 0.05, [sparse_skeleton({CHEST: (0.02, 0.0, 1.3)})]))
     assert [e.kind for e in events] == ["updated"]
-    assert len(tracker.tracks) == 1
-    assert tracker.tracks[0].hits == 2
+    assert len(tracker.track_ids) == 1
+    assert tracker.hits.tolist() == [2]
 
 
 def test_far_detection_creates_second_track():
@@ -42,7 +42,7 @@ def test_far_detection_creates_second_track():
     ]))
     kinds = sorted(e.kind for e in events)
     assert kinds == ["created", "updated"]
-    assert len(tracker.tracks) == 2
+    assert len(tracker.track_ids) == 2
 
 
 def test_track_ids_never_reused():
@@ -70,7 +70,8 @@ def test_retirement_after_max_age():
     # keep the scene alive with an empty detection set past the age limit
     events = tracker.ingest(_dets("c0", 0.6, []))
     assert [e.kind for e in events] == ["retired"]
-    assert tracker.tracks == []
+    assert len(tracker.track_ids) == 0
+    assert tracker.filters.mean.shape == (0, 16, 6)
 
 
 def test_stale_detection_rejected_and_counted():
@@ -79,7 +80,7 @@ def test_stale_detection_rejected_and_counted():
     events = tracker.ingest(_dets("c1", 1.2, [full_skeleton()]))
     assert events == []
     assert tracker.stale_rejections == 1
-    assert len(tracker.tracks) == 1  # nothing changed
+    assert len(tracker.track_ids) == 1  # nothing changed
 
 
 def test_stale_within_tolerance_applied_with_clamped_dt():
@@ -89,7 +90,7 @@ def test_stale_within_tolerance_applied_with_clamped_dt():
     assert [e.kind for e in events] == ["updated"]
     assert tracker.stale_rejections == 0
     # the filter never rewinds
-    assert tracker.tracks[0].centroid_filter.last_update == 1.0
+    assert tracker.filters.last_update[0, CENTROID] == 1.0
 
 
 def test_invalid_joint_is_predict_only():
@@ -97,13 +98,12 @@ def test_invalid_joint_is_predict_only():
     tracker = PoseTracker(TrackerConfig(noise=cfgn))
     s0 = sparse_skeleton({CHEST: (0.0, 0.0, 1.3), 4: (0.5, 0.0, 1.0)})
     tracker.ingest(_dets("c0", 0.0, [s0]))
-    track = tracker.tracks[0]
-    mean_before = track.joint_filters[4].mean.copy()
+    mean_before = tracker.filters.mean[0, 4].copy()
 
     # matched update whose skeleton is missing joint 4: mean must not move
     s1 = sparse_skeleton({CHEST: (0.0, 0.0, 1.3)})
     tracker.ingest(_dets("c0", 0.1, [s1]))
-    f4 = track.joint_filters[4]
+    f4 = tracker.filters[0, 4]
     assert f4.last_update == 0.1
     assert np.allclose(f4.mean[:3], mean_before[:3], atol=1e-12)  # zero velocity holds it
 
@@ -111,24 +111,24 @@ def test_invalid_joint_is_predict_only():
 def test_lazy_joint_filter_initialization():
     tracker = PoseTracker()
     tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3)})]))
-    track = tracker.tracks[0]
-    assert track.joint_filters[7] is None
+    assert not tracker.initialized[0, 7]
     tracker.ingest(_dets("c0", 0.1, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3),
                                                       7: (0.3, 0.1, 1.1)})]))
-    assert track.joint_filters[7] is not None
-    assert track.joint_filters[7].last_update == 0.1
+    assert tracker.initialized[0, 7]
+    assert tracker.filters.last_update[0, 7] == 0.1
 
 
 def test_centroidless_detection_never_births():
     tracker = PoseTracker()
     events = tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({4: (1.0, 1.0, 1.0)})]))
     assert events == []
-    assert tracker.tracks == []
+    assert len(tracker.track_ids) == 0
 
 
-def _filter_bytes(track):
-    filters = [track.centroid_filter, *(f for f in track.joint_filters if f is not None)]
-    return [(f.mean.tobytes(), np.array([f.p, f.c, f.v]).tobytes(), f.last_update) for f in filters]
+def _filter_bytes(tracker, row):
+    """The bytes of every started filter of one table row."""
+    f = tracker.filters[row][tracker.initialized[row]]
+    return [a.tobytes() for a in (f.mean, f.p, f.c, f.v, f.last_update)]
 
 
 @pytest.mark.parametrize("extra, births", [
@@ -147,26 +147,34 @@ def test_unmatchable_detection_leaves_match_bit_identical(extra, births):
     assert [e.kind for e in alone_events] == ["updated"]
     assert both_events[:1] == alone_events
     assert [e.kind for e in both_events[1:]] == ["created"] * births
-    assert _filter_bytes(both.tracks[0]) == _filter_bytes(alone.tracks[0])
+    assert _filter_bytes(both, 0) == _filter_bytes(alone, 0)
 
 
-def test_ingest_predicts_each_centroid_filter_once(monkeypatch):
+def _row_keys(state):
+    """One hashable key per filter row: the bytes of its mean and covariance numbers."""
+    return [(m.tobytes(), p, c, v, t) for m, p, c, v, t in zip(
+        state.mean, state.p.tolist(), state.c.tolist(), state.v.tolist(),
+        state.last_update.tolist())]
+
+
+def test_one_predict_call_covers_the_centroid_column_once(monkeypatch):
     tracker = PoseTracker()
     tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3)}),
                                      sparse_skeleton({CHEST: (3.0, 0.0, 1.3)})]))
-    centroid_filters = [trk.centroid_filter for trk in tracker.tracks]
-    predicted = []
+    centroid_rows = _row_keys(tracker.filters[:, CENTROID])
+    calls = []
     real_predict = ukf.predict
 
     def counting_predict(state, t, cfg):
-        predicted.append(state)
+        calls.append(_row_keys(state))
         return real_predict(state, t, cfg)
 
     monkeypatch.setattr(ukf, "predict", counting_predict)
     events = tracker.ingest(_dets("c1", 0.1, [sparse_skeleton({CHEST: (0.01, 0.0, 1.3)}),
                                               sparse_skeleton({CHEST: (3.01, 0.0, 1.3)})]))
     assert [e.kind for e in events] == ["updated", "updated"]
-    assert [sum(s is f for s in predicted) for f in centroid_filters] == [1, 1]
+    covering = [keys for keys in calls if set(keys) & set(centroid_rows)]
+    assert covering == [centroid_rows]
 
 
 def test_snapshot_empty_for_fresh_tracker():
@@ -201,7 +209,7 @@ def test_snapshot_extrapolates_constant_velocity():
     dx = snap_later.tracks[0].skeleton.joints[CHEST][0] - snap_now.tracks[0].skeleton.joints[CHEST][0]
     assert abs(dx - 0.2) < 0.02
     # read-only: tracker state untouched
-    assert tracker.tracks[0].centroid_filter.last_update == t
+    assert tracker.filters.last_update[0, CENTROID] == t
 
 
 def test_snapshot_at_last_seen_matches_filter_mean():
@@ -209,9 +217,8 @@ def test_snapshot_at_last_seen_matches_filter_mean():
     s = sparse_skeleton({CHEST: (0.5, -0.5, 1.2)})
     tracker.ingest(_dets("c0", 1.0, [s]))
     snap = tracker.snapshot(1.0)
-    track = tracker.tracks[0]
     assert np.array_equal(
-        snap.tracks[0].skeleton.joints[CHEST], track.joint_filters[CHEST].position()
+        snap.tracks[0].skeleton.joints[CHEST], tracker.filters[0, CHEST].position()
     )
 
 
@@ -225,13 +232,8 @@ def test_deterministic_replay_bit_identical():
         history = []
         for e in events:
             tracker.ingest(e.detections)
-        for trk in tracker.tracks:
-            history.append(trk.centroid_filter.mean.tobytes())
-            history.append(np.array([trk.centroid_filter.p, trk.centroid_filter.c,
-                                     trk.centroid_filter.v]).tobytes())
-            for f in trk.joint_filters:
-                if f is not None:
-                    history.append(f.mean.tobytes())
+        for row in range(len(tracker.track_ids)):
+            history.extend(_filter_bytes(tracker, row))
         return b"".join(history)
 
     assert run() == run()
@@ -249,6 +251,6 @@ def test_two_alternating_cameras_single_static_person():
         cam = "c0" if k % 2 == 0 else "c1"
         z = target + rng.normal(0, 0.02, 3)
         tracker.ingest(_dets(cam, t, [sparse_skeleton({CHEST: tuple(z)})]))
-    assert len(tracker.tracks) == 1
-    err = np.linalg.norm(tracker.tracks[0].joint_filters[CHEST].position() - target)
+    assert len(tracker.track_ids) == 1
+    err = np.linalg.norm(tracker.filters[0, CHEST].position() - target)
     assert err < 0.05
