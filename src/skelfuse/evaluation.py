@@ -54,11 +54,11 @@ class _JointWindows:
     def __init__(self, size: int):
         self._windows = [deque(maxlen=size) for _ in range(JOINT_COUNT)]
 
-    def push(self, skel: Skeleton3D) -> None:
-        """Append every valid joint of ``skel``; missing joints are skipped."""
+    def push(self, joints: np.ndarray, valid: np.ndarray) -> None:
+        """Append every valid joint of one skeleton row; missing joints are skipped."""
         for j in range(JOINT_COUNT):
-            if skel.valid[j]:
-                self._windows[j].append(skel.joints[j])
+            if valid[j]:
+                self._windows[j].append(joints[j])
 
     def mean(self, j: int, k: int) -> np.ndarray | None:
         """Mean of joint ``j``'s last ``k`` observations, None if never observed."""
@@ -81,7 +81,7 @@ def maf_baseline(history: Sequence[Skeleton3D], k: int) -> list[Skeleton3D]:
     windows = _JointWindows(k)
     out = []
     for skel in history:
-        windows.push(skel)
+        windows.push(skel.joints, skel.valid)
         joints = np.zeros((JOINT_COUNT, 3))
         valid = np.zeros(JOINT_COUNT, dtype=bool)
         for j in range(JOINT_COUNT):
@@ -172,16 +172,13 @@ class _Accumulator:
         return ReportCell(float(arr.mean()), float(arr.std()), len(arr), self.n_excluded)
 
 
-def _nearest_skeleton(skeletons, point: np.ndarray):
-    """Oracle association: the skeleton whose centroid is nearest to ``point``."""
+def _nearest_row(centroids: np.ndarray, point: np.ndarray) -> int | None:
+    """Oracle association: the first row whose centroid is nearest to ``point``; never a NaN."""
     best, best_d = None, math.inf
-    for s in skeletons:
-        c = association.centroid(s)
-        if c is None:
-            continue
+    for row, c in enumerate(centroids):
         d = float(np.linalg.norm(c - point))
         if d < best_d:
-            best, best_d = s, d
+            best, best_d = row, d
     return best
 
 
@@ -201,6 +198,8 @@ def evaluate(
     ``WARMUP_S`` on. The truth pixel is the simulator pose projected into the
     reference camera. Samples where truth or a fused joint falls behind the
     reference camera are excluded and counted. Statistics pool all seeds.
+    A report row is labelled by its camera count, so a subset that names a
+    camera twice, or two subsets of one size, raise ConfigError.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -211,6 +210,11 @@ def evaluate(
         for cid in subset:
             if cid not in camera_ids:
                 raise ConfigError(f"camera subset references unknown camera {cid!r}")
+        if len(set(subset)) < len(subset):
+            raise ConfigError(f"camera subset {list(subset)} names a camera twice")
+    configs = [f"{len(s)}-cam" for s in camera_subsets]
+    if len(set(configs)) < len(configs):
+        raise ConfigError(f"camera subsets must differ in size, got {configs}")
     ref_id = ref_camera_id if ref_camera_id is not None else camera_ids[0]
     if ref_id not in camera_ids:
         raise ConfigError(f"unknown reference camera {ref_id!r}")
@@ -229,7 +233,6 @@ def evaluate(
         if WARMUP_S <= k / ref_spec.frame_rate < cfg.duration
     ]
 
-    configs = [f"{len(s)}-cam" for s in camera_subsets]
     method_labels = _method_labels(k_values)
     acc: dict[tuple[str, str, int], _Accumulator] = {
         (c, m, j): _Accumulator()
@@ -276,22 +279,21 @@ def _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc
         while ei < len(sub_events) and sub_events[ei].arrival <= t_s:
             dets = sub_events[ei].detections
             tracker.ingest(dets)
-            if k_values and dets.skeletons:
+            if k_values and len(dets.skeletons):
+                centroids = association.centroid(dets.skeletons)
                 for pid in person_ids:
                     truth_chest = gt.truth_at(pid, dets.stamp).joints[CHEST]
-                    skel = _nearest_skeleton(dets.skeletons, truth_chest)
-                    if skel is not None:
-                        maf_windows[pid].push(skel)
+                    row = _nearest_row(centroids, truth_chest)
+                    if row is not None:
+                        maf_windows[pid].push(dets.skeletons.joints[row],
+                                              dets.skeletons.valid[row])
             ei += 1
 
-        snap = tracker.snapshot(t_s)
+        fused = tracker.snapshot(t_s).tracks
+        centroids = association.centroid(fused)
         for pid in person_ids:
             truth = gt.truth_at(pid, t_s)
-            fused = None
-            if snap.tracks:
-                fused = _nearest_skeleton(
-                    [tp.skeleton for tp in snap.tracks], truth.joints[CHEST]
-                )
+            row = _nearest_row(centroids, truth.joints[CHEST])
             for j in LIMB_JOINTS:
                 try:
                     p_star, _ = geometry.project(
@@ -301,9 +303,9 @@ def _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc
                     for m in _method_labels(k_values):
                         acc[(config_label, m, j)].n_excluded += 1
                     continue
-                if fused is not None and fused.valid[j]:
+                if row is not None and fused.valid[row, j]:
                     try:
-                        err = reprojection_error(fused.joints[j], p_star, ref_cam)
+                        err = reprojection_error(fused.joints[row, j], p_star, ref_cam)
                         acc[(config_label, "ours", j)].errors.append(err)
                     except BehindCameraError:
                         acc[(config_label, "ours", j)].n_excluded += 1

@@ -6,7 +6,8 @@
   "cy", "extrinsic": [16 row-major]}]}``; the extrinsic maps camera-frame
   points to world-frame points, as the "convention" field states.
 - ``truth.jsonl``: ``{"person_id", "t", "joints": [[x, y, z] x 15]}``.
-- ``events.jsonl`` and ``snapshots.jsonl``: the tracker's output.
+- ``events.jsonl`` and ``snapshots.jsonl``: the tracker's output; a snapshot
+  track is ``{"track_id", "joints"}``, each joint record with a ``cov_trace``.
 
 Writers never emit NaN or Infinity; readers turn a malformed record into a
 ConfigError naming the file and the line or camera entry.
@@ -42,7 +43,7 @@ def _dumps(obj) -> str:
 def write_detections(path, detections: Iterable[DetectionSet]) -> None:
     write_jsonl(path, (
         {"camera_id": ds.camera_id, "stamp": ds.stamp,
-         "skeletons": [s.to_dict() for s in ds.skeletons]}
+         "skeletons": ds.skeletons.to_dicts()}
         for ds in detections
     ))
 
@@ -59,7 +60,7 @@ def read_detections(path) -> list[DetectionSet]:
                 out.append(DetectionSet(
                     camera_id=str(d["camera_id"]),
                     stamp=float(d["stamp"]),
-                    skeletons=tuple(Skeleton3D.from_dict(s) for s in d["skeletons"]),
+                    skeletons=Skeleton3D.from_dicts(d["skeletons"]),
                 ))
             except _RECORD_ERRORS as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad detection record: {exc}") from exc
@@ -119,11 +120,11 @@ def event_to_dict(ev: TrackEvent) -> dict:
 
 def snapshot_to_dict(snap: FusedSnapshot) -> dict:
     tracks = []
-    for tp in snap.tracks:
-        joints = tp.skeleton.to_dict()["joints"]
-        for entry, trace in zip(joints, tp.cov_traces):
-            entry["cov_trace"] = trace
-        tracks.append({"track_id": tp.track_id, "joints": joints})
+    for track_id, record, traces in zip(snap.track_ids.tolist(), snap.tracks.to_dicts(),
+                                        snap.cov_traces.tolist()):
+        for entry, trace in zip(record["joints"], traces):
+            entry["cov_trace"] = trace if entry["valid"] else None
+        tracks.append({"track_id": track_id, **record})
     return {"stamp": snap.stamp, "tracks": tracks}
 
 

@@ -49,7 +49,7 @@ def make_detection_set(
     cam: CameraModel,
     stamp: Timestamp,
 ) -> DetectionSet:
-    """Lift a camera frame's skeletons and stamp them.
+    """Lift a camera frame's skeletons and stamp them as one stack.
 
     Skeleton i is ``pixels[i]`` (15, 2) with mask ``valid[i]``, lifted with
     ``depth_maps[i]``; the three pair up one to one. Skeletons whose joints
@@ -61,6 +61,5 @@ def make_detection_set(
         lift_skeleton(px, v, dm, cam)
         for px, v, dm in zip(pixels, valid, depth_maps, strict=True)
     ]
-    return DetectionSet(
-        camera_id=cam.camera_id, stamp=stamp, skeletons=tuple(s for s in lifted if s.n_valid > 0)
-    )
+    return DetectionSet(camera_id=cam.camera_id, stamp=stamp,
+                        skeletons=Skeleton3D.stack([s for s in lifted if s.valid.any()]))

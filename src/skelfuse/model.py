@@ -6,6 +6,10 @@ limb joints reported in evaluation tables, in right/left shoulder-elbow-wrist,
 hip-knee-ankle order. Indices 0 and 1 are head and neck. The topology is a
 module constant so an alternate joint set is a one-line change.
 
+Skeletons are rows (``Skeleton3D``): a detection set and a snapshot each hold
+one stack of them. The joint record that stream and snapshot lines embed,
+``{"joints": [{"id", "x", "y", "z", "valid"}]}``, is written and parsed here.
+
 All 3D joints are in the shared world frame (meters): lifting registers each
 skeleton through its camera's extrinsic before a ``Skeleton3D`` exists, so
 camera-frame coordinates never leave ``geometry`` and ``lifting``.
@@ -130,18 +134,24 @@ class CameraModel:
 
 @dataclass(frozen=True, eq=False)
 class Skeleton3D:
-    """One person's 3D joints in the world frame (meters).
+    """Skeletons in rows, world frame (meters): ``joints (..., 15, 3)``, ``valid (..., 15)``.
 
-    ``joints`` is (15, 3), ``valid`` (15,) bool. Invalid entries carry zeroed
-    coordinates.
+    A single skeleton is one row, ``joints (15, 3)``; a stack of P rows has
+    ``joints (P, 15, 3)``, and indexing it (``stack[i]``, ``stack[rows]``)
+    gives rows. Invalid entries carry zeroed coordinates.
     """
 
     joints: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.joints, dtype=float).reshape(JOINT_COUNT, 3)
-        v = np.array(self.valid, dtype=bool).reshape(JOINT_COUNT)
+        c = np.array(self.joints, dtype=float)
+        v = np.array(self.valid, dtype=bool)
+        if c.shape[-2:] != (JOINT_COUNT, 3) or v.shape != c.shape[:-1]:
+            raise ConfigError(
+                f"skeleton joints must be (..., {JOINT_COUNT}, 3) and valid their leading "
+                f"shape, got {c.shape} and {v.shape}"
+            )
         c[~v] = 0.0  # canonical: invalid joints carry zero coordinates
         if not np.all(np.isfinite(c[v])):
             raise ConfigError("valid joints must have finite coordinates")
@@ -151,14 +161,18 @@ class Skeleton3D:
         object.__setattr__(self, "valid", v)
 
     @classmethod
-    def from_joints(cls, joints: dict[int, np.ndarray] | None) -> "Skeleton3D":
-        """Build from a sparse {joint_id: xyz} mapping; absent joints are invalid."""
-        c = np.zeros((JOINT_COUNT, 3))
-        v = np.zeros(JOINT_COUNT, dtype=bool)
-        for i, p in (joints or {}).items():
-            c[i] = p
-            v[i] = True
-        return cls(c, v)
+    def stack(cls, rows: list[Skeleton3D]) -> Skeleton3D:
+        """One stack of the single skeletons ``rows``, in order; no rows stack to length 0."""
+        return cls(np.array([s.joints for s in rows]).reshape(-1, JOINT_COUNT, 3),
+                   np.array([s.valid for s in rows], dtype=bool).reshape(-1, JOINT_COUNT))
+
+    def __len__(self) -> int:
+        """The number of rows; like a 0-d array, a single skeleton has no length (TypeError)."""
+        return len(self.valid[..., 0])
+
+    def __getitem__(self, rows) -> Skeleton3D:
+        """The skeletons at ``rows``, an index into the leading shape."""
+        return Skeleton3D(self.joints[rows], self.valid[rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton3D):
@@ -168,68 +182,57 @@ class Skeleton3D:
             and np.array_equal(self.joints, other.joints)
         )
 
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
-
-    def to_dict(self) -> dict:
-        joints = []
-        for i in range(JOINT_COUNT):
-            if self.valid[i]:
-                joints.append({
-                    "id": i,
-                    "x": float(self.joints[i, 0]),
-                    "y": float(self.joints[i, 1]),
-                    "z": float(self.joints[i, 2]),
-                    "valid": True,
-                })
-            else:
-                joints.append({"id": i, "x": None, "y": None, "z": None, "valid": False})
-        return {"joints": joints}
+    def to_dicts(self) -> list[dict]:
+        """The joint record of every row of a stack, as stream and snapshot lines embed it."""
+        return [
+            {"joints": [
+                {"id": i, "x": x, "y": y, "z": z, "valid": True} if ok
+                else {"id": i, "x": None, "y": None, "z": None, "valid": False}
+                for i, ((x, y, z), ok) in enumerate(zip(joints, valid))
+            ]}
+            for joints, valid in zip(self.joints.tolist(), self.valid.tolist())
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Skeleton3D":
-        """Parse the joint record that stream and snapshot lines embed.
+    def from_dicts(cls, records: list[dict]) -> Skeleton3D:
+        """Parse joint records, one per row, into one stack: the one parser.
 
         Other keys (a snapshot's ``track_id``, ``cov_trace``) are ignored. A
-        joint id that is not an int in ``[0, JOINT_COUNT)``, or that repeats,
-        raises ConfigError.
+        joint id that is not an int in ``[0, JOINT_COUNT)``, or that repeats
+        within a record, raises ConfigError.
         """
-        c = np.zeros((JOINT_COUNT, 3))
-        v = np.zeros(JOINT_COUNT, dtype=bool)
-        seen = set()
-        for entry in d["joints"]:
-            i = entry["id"]
-            if type(i) is not int or not 0 <= i < JOINT_COUNT or i in seen:
-                raise ConfigError(
-                    f"joint ids must be distinct ints in [0, {JOINT_COUNT}), got {i!r}"
-                )
-            seen.add(i)
-            if entry.get("valid"):
-                c[i] = (float(entry["x"]), float(entry["y"]), float(entry["z"]))
-                v[i] = True
+        c = np.zeros((len(records), JOINT_COUNT, 3))
+        v = np.zeros((len(records), JOINT_COUNT), dtype=bool)
+        for row, d in enumerate(records):
+            seen = set()
+            for entry in d["joints"]:
+                i = entry["id"]
+                if type(i) is not int or not 0 <= i < JOINT_COUNT or i in seen:
+                    raise ConfigError(
+                        f"joint ids must be distinct ints in [0, {JOINT_COUNT}), got {i!r}"
+                    )
+                seen.add(i)
+                if entry.get("valid"):
+                    c[row, i] = (float(entry["x"]), float(entry["y"]), float(entry["z"]))
+                    v[row, i] = True
         return cls(c, v)
 
+    @classmethod
+    def from_dict(cls, d: dict) -> Skeleton3D:
+        """Parse one joint record into a single skeleton."""
+        return cls.from_dicts([d])[0]
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class DetectionSet:
-    """One camera's batch of world-frame skeletons at one capture timestamp."""
+    """One camera's world-frame skeletons at one capture timestamp: a stack of P >= 0 rows."""
 
     camera_id: str
     stamp: Timestamp
-    skeletons: tuple[Skeleton3D, ...]
+    skeletons: Skeleton3D
 
     def __post_init__(self):
-        sk = tuple(self.skeletons)
         if not 0.0 <= self.stamp < np.inf:
             raise ConfigError(f"timestamps must be finite and non-negative, got {self.stamp}")
-        object.__setattr__(self, "skeletons", sk)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DetectionSet):
-            return NotImplemented
-        return (
-            self.camera_id == other.camera_id
-            and self.stamp == other.stamp
-            and self.skeletons == other.skeletons
-        )
+        if not isinstance(self.skeletons, Skeleton3D) or self.skeletons.valid.ndim != 2:
+            raise ConfigError("a detection set's skeletons must be one stack of rows")

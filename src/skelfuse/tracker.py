@@ -7,8 +7,9 @@ per-joint and centroid filters, unmatched detections birth tracks, and tracks
 unseen for longer than the age limit are retired. Stale detections within a
 small tolerance are applied with their filter time clamped (dt = 0); older
 ones are dropped with a logged staleness error and counted. The tracker alone
-handles time: per set it computes each centroid once, dropping centroid-less
-skeletons, predicts the centroid filters once, and association scores those.
+handles time: per set it computes all centroids in one call, dropping
+centroid-less skeletons, predicts the centroid filters once, and association
+scores those. Sets arrive, and snapshots leave, as stacks of skeleton rows.
 
 All filters live in one table, a ``FilterState`` of shape ``(T, 16)``: one
 row per track in birth order, columns 0-14 its joints and column 15 its
@@ -78,19 +79,18 @@ class TrackEvent:
     camera_id: str
 
 
-@dataclass(frozen=True)
-class TrackPose:
-    """One confirmed track's fused skeleton and per-joint covariance traces."""
-
-    track_id: int
-    skeleton: Skeleton3D
-    cov_traces: tuple[float | None, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedSnapshot:
+    """The N confirmed tracks at ``stamp``, one row each in birth order (so by track id).
+
+    ``track_ids (N,)``, ``tracks`` one stack of N fused skeletons, and
+    per-joint covariance traces ``cov_traces (N, 15)``, 0 where a joint is invalid.
+    """
+
     stamp: Timestamp
-    tracks: tuple[TrackPose, ...]
+    track_ids: np.ndarray
+    tracks: Skeleton3D
+    cov_traces: np.ndarray
 
 
 class PoseTracker:
@@ -134,20 +134,16 @@ class PoseTracker:
             )
             return []
 
-        skeletons: list[Skeleton3D] = []
-        centroids: list[np.ndarray] = []
-        for skel in dets.skeletons:
-            cent = association.centroid(skel)
-            if cent is None:
-                log.debug("dropping centroid-less detection from %s at %.6f", dets.camera_id, t)
-            else:
-                skeletons.append(skel)
-                centroids.append(cent)
+        centroids = association.centroid(dets.skeletons)
+        kept = np.flatnonzero(~np.isnan(centroids[:, 0]))
+        if len(kept) < len(centroids):
+            log.debug("dropping centroid-less detections from %s at %.6f", dets.camera_id, t)
+        centroids = centroids[kept]
 
         # A set with no centroid scores nothing, so no filter is predicted for it.
         n_tracks = len(self.track_ids)
         predicted = self.filters[:0, CENTROID]
-        if centroids and n_tracks:
+        if len(centroids) and n_tracks:
             predicted = _predict_to(self.filters[:, CENTROID], t, self._centroid_noise)
         result = association.data_association(predicted, centroids, cfg.gating_eps,
                                               self._centroid_noise)
@@ -160,8 +156,9 @@ class PoseTracker:
             born = self._append(len(result.unmatched_detections), t)
             events += [TrackEvent("created", track_id, t, dets.camera_id)
                        for track_id in self.track_ids[born].tolist()]
-            self._fuse(matched, born, predicted[matched], [skeletons[d] for d in order],
-                       np.array([centroids[d] for d in order]), t)
+            rows = kept[order]
+            self._fuse(matched, born, predicted[matched], dets.skeletons.joints[rows],
+                       dets.skeletons.valid[rows], centroids[order], t)
 
         retired = t - self.last_seen > cfg.max_track_age
         if retired.any():
@@ -176,33 +173,30 @@ class PoseTracker:
         """Read-only view of the confirmed tracks with filters extrapolated to ``t``.
 
         The tracker state is not modified; filters older than ``t`` are
-        predicted forward, never rewound. Rows are in birth order, so the
-        poses come out sorted by track id.
+        predicted forward, never rewound. Rows are in birth order, so they
+        come out sorted by track id.
         """
         confirmed = np.flatnonzero(self.hits >= self.config.min_hits_to_confirm)
-        if not len(confirmed):
-            return FusedSnapshot(stamp=t, tracks=())
         valid = self.initialized[confirmed, :JOINT_COUNT]
         rows, joints = np.nonzero(valid)
-        predicted = _predict_to(self.filters[confirmed[rows], joints], t, self.config.noise)
         positions = np.zeros((len(confirmed), JOINT_COUNT, 3))
-        positions[rows, joints] = predicted.position()
         traces = np.zeros((len(confirmed), JOINT_COUNT))
-        traces[rows, joints] = 3.0 * predicted.p
-        poses = tuple(
-            TrackPose(track_id=track_id, skeleton=Skeleton3D(pos, ok), cov_traces=tuple(trace))
-            for track_id, pos, ok, trace in zip(self.track_ids[confirmed].tolist(), positions,
-                                                valid, np.where(valid, traces, None).tolist())
-        )
-        return FusedSnapshot(stamp=t, tracks=poses)
+        if len(rows):  # every confirmed track has started a joint
+            predicted = _predict_to(self.filters[confirmed[rows], joints], t, self.config.noise)
+            positions[rows, joints] = predicted.position()
+            traces[rows, joints] = 3.0 * predicted.p
+        return FusedSnapshot(stamp=t, track_ids=self.track_ids[confirmed],
+                             tracks=Skeleton3D(positions, valid), cov_traces=traces)
 
     def _fuse(self, matched: np.ndarray, born: np.ndarray, centroid_predicted: FilterState,
-              skeletons: list[Skeleton3D], centroids: np.ndarray, t: Timestamp) -> None:
+              measured: np.ndarray, valid: np.ndarray, centroids: np.ndarray,
+              t: Timestamp) -> None:
         """Update the ``matched`` rows and start the ``born`` ones from their detections.
 
-        ``skeletons`` and ``centroids`` hold the matched rows' detections
-        first, then the newborns'. ``centroid_predicted`` is the matched
-        rows' centroid column, already predicted to ``t``.
+        The detections' joints ``measured (R, 15, 3)``, masks ``valid (R, 15)``
+        and ``centroids (R, 3)`` hold the matched rows' first, then the
+        newborns'. ``centroid_predicted`` is the matched rows' centroid
+        column, already predicted to ``t``.
         """
         noise = self.config.noise
         n = len(matched)
@@ -217,8 +211,6 @@ class PoseTracker:
             self.initialized[born, CENTROID] = True
 
         rows = np.concatenate([matched, born])
-        measured = np.array([s.joints for s in skeletons])
-        valid = np.array([s.valid for s in skeletons])
         started = self.initialized[rows, :JOINT_COUNT]
         # Newborn rows have started no joint, so these are matched rows.
         r, j = np.nonzero(started)

@@ -28,7 +28,13 @@ def full_skeleton(base=(0.0, 0.0, 1.0)) -> Skeleton3D:
 
 
 def sparse_skeleton(points: dict[int, tuple]) -> Skeleton3D:
-    return Skeleton3D.from_joints({i: np.asarray(p, dtype=float) for i, p in points.items()})
+    """One skeleton with the joints ``points`` valid, ``{joint_id: xyz}``; the rest invalid."""
+    joints = np.zeros((JOINT_COUNT, 3))
+    valid = np.zeros(JOINT_COUNT, dtype=bool)
+    for i, p in points.items():
+        joints[i] = p
+        valid[i] = True
+    return Skeleton3D(joints, valid)
 
 
 def walking_scenario(seed=11, duration=4.0, n_cameras=2, persons=None, **camera_kwargs

@@ -16,7 +16,7 @@ from skelfuse.cli import main
 from skelfuse.evaluation import evaluate
 from skelfuse.geometry import back_project, median_depth, project, world_to_camera
 from skelfuse.lifting import lift_skeleton
-from skelfuse.model import JOINT_COUNT, LIMB_JOINTS
+from skelfuse.model import JOINT_COUNT, LIMB_JOINTS, Skeleton3D
 from skelfuse.simulate import GroundTruth, load_scenario, bundled_scenario_path, render_detection, run_scenario
 from skelfuse.tracker import PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig, init_filter, predict, update
@@ -172,13 +172,14 @@ def test_criterion_5_association_partition_and_gated_optimum():
                 skels.append(sparse_skeleton({CHEST: tuple(rng.uniform(-3, 3, 3))}))
         stamp = float(rng.uniform(0, 0.4))
         # As the tracker does: drop centroid-less skeletons, predict all rows in one call.
-        cents = [c for c in map(centroid, skels) if c is not None]
+        cents = centroid(Skeleton3D.stack(skels))
+        cents = cents[~np.isnan(cents[:, 0])]
         predicted = predict(filters, stamp, cfg)
         eps = float(rng.uniform(0.5, 25.0))
         res = data_association(predicted, cents, eps, cfg)
         assert_partition(res, n_tracks, len(cents))
 
-        if n_tracks and cents:
+        if n_tracks and len(cents):
             cost = build_cost_matrix(predicted, cents, cfg)
             expect, unique = _brute_force_gated(cost, eps)
             if unique:

@@ -13,7 +13,7 @@ from skelfuse.association import (
     data_association,
     munkres,
 )
-from skelfuse.model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER
+from skelfuse.model import CHEST, JOINT_COUNT, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, Skeleton3D
 from skelfuse.ukf import NoiseConfig, init_filter, predict
 
 from conftest import sparse_skeleton
@@ -52,10 +52,46 @@ def test_centroid_fallback_all_five():
     assert np.allclose(centroid(s), expect)
 
 
+@pytest.mark.parametrize("scale", ["1e-3", "1", "1e3", "1e6", "mixed", "rounded"])
+def test_centroid_rows_equal_reference_bit_for_bit(scale):
+    """Every row of one stacked call is the frozen one-skeleton centroid, byte for byte.
+
+    All 64 validity patterns of the chest and the five fallback joints, eight
+    random skeletons each; where the reference has no centroid (None) the row
+    is NaN. "rounded" draws small integers and signed zeros, so sums cancel.
+    """
+    from reference import association as ref_association
+
+    rng = np.random.default_rng(sum(map(ord, scale)))
+    torso = (CHEST, NECK, R_SHOULDER, L_SHOULDER, R_HIP, L_HIP)
+    rows = []
+    for pattern in range(2 ** len(torso)):
+        for _ in range(8):
+            valid = rng.random(JOINT_COUNT) < 0.5
+            valid[list(torso)] = [(pattern >> bit) & 1 for bit in range(len(torso))]
+            joints = rng.standard_normal((JOINT_COUNT, 3))
+            if scale == "mixed":
+                joints *= 10.0 ** rng.uniform(-3, 6, (JOINT_COUNT, 3))
+            elif scale == "rounded":
+                joints = np.round(2 * joints)
+            else:
+                joints *= float(scale)
+            rows.append(Skeleton3D(joints, valid))
+    got = centroid(Skeleton3D.stack(rows))
+    assert got.shape == (len(rows), 3)
+    for row, s in zip(got, rows):
+        expect = ref_association.centroid(s)
+        if expect is None:
+            assert np.isnan(row).all()
+        else:
+            assert row.tobytes() == expect.tobytes()
+            assert centroid(s).tobytes() == expect.tobytes()
+
+
 def test_centroid_missing_when_no_torso():
     s = sparse_skeleton({0: (1.0, 1.0, 1.0), 4: (2.0, 2.0, 2.0)})
-    assert centroid(s) is None
-    assert centroid(sparse_skeleton({})) is None
+    assert np.isnan(centroid(s)).all()
+    assert np.isnan(centroid(sparse_skeleton({}))).all()
 
 
 # --- build_cost_matrix ----------------------------------------------------------

@@ -158,6 +158,18 @@ def test_evaluate_writes_csv_and_table(scenario_file, tmp_path, capsys):
     assert capsys.readouterr().out == csv_text
 
 
+@pytest.mark.parametrize("cameras", [["c0", "c2"], ["c0,c0"]],
+                         ids=["two-1-cam-subsets", "repeated-camera"])
+def test_evaluate_ambiguous_subsets_exit_2_and_write_no_report(tmp_path, capsys, cameras):
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--scenario", "four_kinect_walk", "--out", str(out)]
+    for spec in cameras:
+        argv += ["--cameras", spec]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: camera subset")
+
+
 def test_evaluate_deterministic_bytes(scenario_file, tmp_path):
     o1, o2 = tmp_path / "e1", tmp_path / "e2"
     for o in (o1, o2):

@@ -154,6 +154,20 @@ def test_evaluate_rejects_unknown_camera():
         evaluate(cfg, camera_subsets=[[]])
 
 
+def test_evaluate_rejects_a_subset_that_repeats_a_camera():
+    # Labelled "2-cam", it would hold one camera.
+    cfg = _noiseless_line_scenario(n_cameras=2)
+    with pytest.raises(ConfigError, match="twice"):
+        evaluate(cfg, camera_subsets=[["c0", "c0"]])
+
+
+def test_evaluate_rejects_two_subsets_of_one_size():
+    # Both would be labelled "1-cam" and their samples merged into one row.
+    cfg = _noiseless_line_scenario(n_cameras=2)
+    with pytest.raises(ConfigError, match="differ in size"):
+        evaluate(cfg, camera_subsets=[["c0"], ["c1"]])
+
+
 def test_evaluate_deterministic():
     cfg = walking_scenario(duration=3.0, n_cameras=2, pixel_sigma=2.0,
                            depth_sigma=0.02, joint_dropout=0.1)

@@ -44,9 +44,9 @@ def _valid_text() -> str:
     valid = np.ones(JOINT_COUNT, dtype=bool)
     valid[1] = False
     sets = [
-        DetectionSet("c0", stamp, (Skeleton3D(
+        DetectionSet("c0", stamp, Skeleton3D.stack([Skeleton3D(
             np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal((JOINT_COUNT, 3)),
-            valid),))
+            valid)]))
         for stamp in (0.1, 0.2)
     ]
     with tempfile.TemporaryDirectory() as tmp:

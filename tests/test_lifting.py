@@ -28,7 +28,7 @@ def _uniform_depth(w, h, value):
 def test_lift_all_invalid_stays_invalid():
     cam = make_camera()
     s = lift_skeleton(*_skeleton2d({}), _uniform_depth(640, 480, 2.0), cam)
-    assert s.n_valid == 0
+    assert not s.valid.any()
     assert not s.joints.any()
 
 
@@ -91,13 +91,13 @@ def test_valid_3d_count_bounded_by_valid_2d():
         pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
         for px2d, v2d, dm in zip(pixels, valid, depth_maps):
             s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
-            assert s3d.n_valid <= int(np.count_nonzero(v2d))
+            assert np.count_nonzero(s3d.valid) <= np.count_nonzero(v2d)
 
 
 def test_make_detection_set_empty_is_valid():
     cam = make_camera()
     ds = make_detection_set([], [], [], cam, stamp=1.5)
-    assert ds.skeletons == ()
+    assert len(ds.skeletons) == 0
     assert ds.stamp == 1.5
     assert ds.camera_id == cam.camera_id
 

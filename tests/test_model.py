@@ -96,9 +96,11 @@ def test_skeleton3d_rejects_nonfinite_valid_joint():
 
 def test_serialization_roundtrips(tmp_path):
     s3 = full_skeleton()
-    assert Skeleton3D.from_dict(s3.to_dict()) == s3
+    stack = Skeleton3D.stack([s3, full_skeleton(base=(2, 0, 1))])
+    assert Skeleton3D.from_dicts(stack.to_dicts()) == stack
+    assert Skeleton3D.from_dict(stack.to_dicts()[0]) == s3
 
-    ds = DetectionSet("c0", 1.25, (s3, full_skeleton(base=(2, 0, 1))))
+    ds = DetectionSet("c0", 1.25, stack)
     io.write_detections(tmp_path / "stream.jsonl", [ds])
     assert io.read_detections(tmp_path / "stream.jsonl") == [ds]
 
@@ -113,4 +115,51 @@ def test_serialization_roundtrip_randomized():
         joints = rng.uniform(-5, 5, size=(JOINT_COUNT, 3))
         valid = rng.random(JOINT_COUNT) < 0.7
         s = Skeleton3D(joints, valid)
-        assert Skeleton3D.from_dict(s.to_dict()) == s
+        assert Skeleton3D.from_dict(Skeleton3D.stack([s]).to_dicts()[0]) == s
+
+
+# --- Skeleton3D stacks ----------------------------------------------------------
+
+@pytest.mark.parametrize("joints_shape, valid_shape", [
+    ((3, JOINT_COUNT), (JOINT_COUNT,)),        # transposed
+    ((3 * JOINT_COUNT,), (JOINT_COUNT,)),      # flat
+    ((JOINT_COUNT, 3), (JOINT_COUNT, 1)),      # mask shape differs
+    ((2, JOINT_COUNT, 3), (JOINT_COUNT,)),     # one mask for a stack of two
+    ((2, JOINT_COUNT, 3), (3, JOINT_COUNT)),   # mask rows differ
+], ids=["transposed", "flat", "mask-column", "mask-unstacked", "mask-rows"])
+def test_skeleton3d_rejects_misshapen_arrays(joints_shape, valid_shape):
+    with pytest.raises(ConfigError):
+        Skeleton3D(np.zeros(joints_shape), np.ones(valid_shape, dtype=bool))
+
+
+def test_skeleton3d_empty_stack_has_length_zero():
+    empty = Skeleton3D(np.zeros((0, JOINT_COUNT, 3)), np.zeros((0, JOINT_COUNT), dtype=bool))
+    assert len(empty) == 0
+    assert empty == Skeleton3D.stack([])
+    assert Skeleton3D.from_dicts(empty.to_dicts()) == empty
+
+
+def test_skeleton3d_rows_equal_the_skeletons_stacked():
+    rng = np.random.default_rng(7)
+    rows = [Skeleton3D(rng.uniform(-5, 5, (JOINT_COUNT, 3)), rng.random(JOINT_COUNT) < 0.6)
+            for _ in range(4)]
+    stack = Skeleton3D.stack(rows)
+    assert len(stack) == 4
+    assert stack.joints.shape == (4, JOINT_COUNT, 3)
+    for i, row in enumerate(rows):
+        assert stack[i] == row
+        assert stack[i].joints.tobytes() == row.joints.tobytes()
+    assert stack[1:3] == Skeleton3D.stack(rows[1:3])
+    assert stack[np.array([3, 0])] == Skeleton3D.stack([rows[3], rows[0]])
+    assert [s for s in stack] == rows
+    with pytest.raises(TypeError):
+        len(rows[0])  # a single skeleton, like a 0-d array, has no length
+
+
+def test_detection_set_takes_one_stack_only():
+    s = full_skeleton()
+    with pytest.raises(ConfigError):
+        DetectionSet("c0", 0.0, (s,))
+    with pytest.raises(ConfigError):
+        DetectionSet("c0", 0.0, s)
+    assert len(DetectionSet("c0", 0.0, Skeleton3D.stack([s])).skeletons) == 1

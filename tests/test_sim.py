@@ -120,7 +120,7 @@ def test_render_zero_noise_lift_recovers_truth():
         pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
         s3d = lift_skeleton(pixels[0], valid[0], depth_maps[0], spec.camera)
         truth = gt.truth_at("p", t)
-        assert s3d.n_valid == JOINT_COUNT
+        assert s3d.valid.all()
         for j in range(JOINT_COUNT):
             assert np.max(np.abs(s3d.joints[j] - truth.joints[j])) < 1e-6
 

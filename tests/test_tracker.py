@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skelfuse import ukf
-from skelfuse.model import CHEST, DetectionSet
+from skelfuse.model import CHEST, DetectionSet, Skeleton3D
 from skelfuse.tracker import CENTROID, PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig
 
@@ -13,7 +13,7 @@ from skelfuse.simulate import run_scenario
 
 
 def _dets(camera_id, stamp, skeletons):
-    return DetectionSet(camera_id, stamp, tuple(skeletons))
+    return DetectionSet(camera_id, stamp, Skeleton3D.stack(skeletons))
 
 
 def test_first_detection_creates_track():
@@ -180,20 +180,20 @@ def test_one_predict_call_covers_the_centroid_column_once(monkeypatch):
 def test_snapshot_empty_for_fresh_tracker():
     tracker = PoseTracker()
     snap = tracker.snapshot(0.0)
-    assert snap.tracks == ()
+    assert len(snap.tracks) == len(snap.track_ids) == len(snap.cov_traces) == 0
 
 
 def test_snapshot_confirmation_gate():
     tracker = PoseTracker(TrackerConfig(min_hits_to_confirm=3))
     s = sparse_skeleton({CHEST: (0.0, 0.0, 1.3)})
     tracker.ingest(_dets("c0", 0.0, [s]))
-    assert tracker.snapshot(0.0).tracks == ()
+    assert len(tracker.snapshot(0.0).tracks) == 0
     tracker.ingest(_dets("c0", 0.1, [s]))
-    assert tracker.snapshot(0.1).tracks == ()
+    assert len(tracker.snapshot(0.1).tracks) == 0
     tracker.ingest(_dets("c0", 0.2, [s]))
     snap = tracker.snapshot(0.2)
     assert len(snap.tracks) == 1
-    assert snap.tracks[0].skeleton.valid[CHEST]
+    assert snap.tracks.valid[0, CHEST]
 
 
 def test_snapshot_extrapolates_constant_velocity():
@@ -206,7 +206,7 @@ def test_snapshot_extrapolates_constant_velocity():
         tracker.ingest(_dets("c0", t, [s]))
     snap_now = tracker.snapshot(t)
     snap_later = tracker.snapshot(t + 0.2)
-    dx = snap_later.tracks[0].skeleton.joints[CHEST][0] - snap_now.tracks[0].skeleton.joints[CHEST][0]
+    dx = snap_later.tracks.joints[0, CHEST, 0] - snap_now.tracks.joints[0, CHEST, 0]
     assert abs(dx - 0.2) < 0.02
     # read-only: tracker state untouched
     assert tracker.filters.last_update[0, CENTROID] == t
@@ -218,7 +218,7 @@ def test_snapshot_at_last_seen_matches_filter_mean():
     tracker.ingest(_dets("c0", 1.0, [s]))
     snap = tracker.snapshot(1.0)
     assert np.array_equal(
-        snap.tracks[0].skeleton.joints[CHEST], tracker.filters[0, CHEST].position()
+        snap.tracks.joints[0, CHEST], tracker.filters[0, CHEST].position()
     )
 
 
