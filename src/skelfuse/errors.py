@@ -13,10 +13,6 @@ class InvalidDepthError(SkelFuseError):
     """A non-positive depth was used for back-projection."""
 
 
-class OutOfImageError(SkelFuseError):
-    """A pixel outside the image bounds was sampled (distinct from missing depth)."""
-
-
 class TimeRegressionError(SkelFuseError):
     """A timestamp moved backwards where monotonicity is required."""
 

@@ -198,8 +198,9 @@ def evaluate(
     ``WARMUP_S`` on. The truth pixel is the simulator pose projected into the
     reference camera. Samples where truth or a fused joint falls behind the
     reference camera are excluded and counted. Statistics pool all seeds.
-    A report row is labelled by its camera count, so a subset that names a
-    camera twice, or two subsets of one size, raise ConfigError.
+    A report row is labelled by its camera count and method, so a subset
+    that names a camera twice, two subsets of one size, or a repeated window
+    size raise ConfigError.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -222,6 +223,8 @@ def evaluate(
     ref_cam = ref_spec.camera
     if any(k < 1 for k in k_values):
         raise ConfigError(f"MAF window sizes must be >= 1, got {list(k_values)}")
+    if len(set(k_values)) < len(k_values):
+        raise ConfigError(f"MAF window sizes must differ, got {list(k_values)}")
     if seeds is None:
         seeds = [cfg.seed]
     if not seeds:

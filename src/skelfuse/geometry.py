@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidDepthError, OutOfImageError
+from .errors import BehindCameraError, InvalidDepthError
 from .model import CameraModel
 
 # Radius (pixels) of the disk used to collect depth samples around a joint.
@@ -99,20 +99,16 @@ def median_depth(
     sample and never a fabricated value between two surfaces at a depth
     discontinuity.
 
-    Returns None when the neighborhood holds no valid sample.
+    Returns None when the neighborhood holds no valid sample. ``p`` must lie
+    in the image: ``lifting.lift_skeleton`` checks that first and marks a
+    joint outside it invalid.
 
     Raises:
-        OutOfImageError: if ``p`` itself lies outside the image (this is an
-            error, not a missing value).
         ValueError: if ``radius_px`` is not positive.
     """
     if radius_px <= 0:
         raise ValueError("neighborhood radius must be positive")
     x, y = float(p[0]), float(p[1])
-    h, w = depth.shape
-    if not (0.0 <= x < w and 0.0 <= y < h):
-        raise OutOfImageError(f"pixel ({x}, {y}) outside {w}x{h} image")
-
     found = disk_window(depth.shape, x, y, radius_px)
     if found is None:
         return None

@@ -133,6 +133,8 @@ class ScenarioConfig:
     cameras: tuple[CameraSpec, ...]
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.duration < math.inf:
             raise ConfigError("duration must be positive and finite")
         ids = [c.camera.camera_id for c in self.cameras]
@@ -459,12 +461,12 @@ def bundled_scenario_path(name: str):
 
 
 def load_scenario(path, seed_override: int | None = None) -> ScenarioConfig:
-    """Parse a YAML scenario file; see the README for the schema."""
+    """Parse a YAML scenario file, with libyaml where PyYAML has it; see the README for the schema."""
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             line = f" (line {mark.line + 1})" if mark is not None else ""

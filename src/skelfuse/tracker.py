@@ -13,11 +13,20 @@ scores those. Sets arrive, and snapshots leave, as stacks of skeleton rows.
 
 All filters live in one table, a ``FilterState`` of shape ``(T, 16)``: one
 row per track in birth order, columns 0-14 its joints and column 15 its
-centroid. Beside it sit an ``initialized (T, 16)`` mask (a joint's filter
-starts at its first valid measurement) and per-row track ids, hit counts and
-last-seen stamps. An ingest predicts and updates all the rows it touches in a
-fixed handful of ``ukf`` calls, and a snapshot predicts all the rows it reads
-in one. A birth appends a row; a retirement compacts the table in order.
+centroid. Beside it sit only per-row track ids and hit counts; the table
+itself holds the rest:
+
+- A filter has started where ``p > 0``. A birth appends a zero-filled row, a
+  joint's filter starts at its first valid measurement and the centroid's at
+  birth, ``init_filter`` starts ``p`` at ``meas_sigma**2 > 0``, and every
+  predict and update rejects a result with ``p <= 0``.
+- A track was last seen at ``last_update[:, CENTROID]``. Only a birth's
+  ``init_filter`` and a match's predict-and-update write the centroid column,
+  and a match moves it to ``max(old, t)``.
+
+An ingest predicts and updates all the rows it touches in a fixed handful of
+``ukf`` calls, and a snapshot predicts all the rows it reads in one. A birth
+appends a row; a retirement compacts the table in order.
 
 Track ids are never reused within a tracker instance. Identical ingest
 sequences produce bit-identical track histories.
@@ -98,8 +107,10 @@ class PoseTracker:
 
     The track table, one row per live track in birth order, is public to
     read: ``filters`` (a ``FilterState`` of shape ``(T, 16)``, columns 0-14
-    the joints and ``CENTROID`` the centroid), ``initialized (T, 16)``,
-    ``track_ids``, ``hits`` and ``last_seen``. Only ``ingest`` changes it.
+    the joints and ``CENTROID`` the centroid), ``track_ids`` and ``hits``.
+    Only ``ingest`` changes it. A filter has started where ``filters.p > 0``,
+    and a track was last seen at ``filters.last_update[:, CENTROID]`` (see
+    the module docstring for why).
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -108,12 +119,10 @@ class PoseTracker:
         self.filters = FilterState(mean=np.zeros((0, COLUMNS, 6)), p=np.zeros((0, COLUMNS)),
                                    c=np.zeros((0, COLUMNS)), v=np.zeros((0, COLUMNS)),
                                    last_update=np.zeros((0, COLUMNS)))
-        self.initialized = np.zeros((0, COLUMNS), dtype=bool)
         self.track_ids = np.zeros(0, dtype=np.int64)
         self.hits = np.zeros(0, dtype=np.int64)
-        self.last_seen = np.zeros(0)
         self._next_id = 1
-        self._latest_stamp: Timestamp | None = None
+        self._latest_stamp: Timestamp = -np.inf
         self.stale_rejections = 0
 
     def ingest(self, dets: DetectionSet) -> list[TrackEvent]:
@@ -126,7 +135,7 @@ class PoseTracker:
         """
         cfg = self.config
         t = dets.stamp
-        if self._latest_stamp is not None and t < self._latest_stamp - cfg.stale_tolerance:
+        if t < self._latest_stamp - cfg.stale_tolerance:
             self.stale_rejections += 1
             log.error(
                 "dropping stale detection set from %s: stamp %.6f lags %.6f by more than %.3fs",
@@ -153,20 +162,20 @@ class PoseTracker:
                   for track_id in self.track_ids[matched].tolist()]
         order = [det for det, _ in result.matches] + list(result.unmatched_detections)
         if order:
-            born = self._append(len(result.unmatched_detections), t)
+            born = self._append(len(result.unmatched_detections))
             events += [TrackEvent("created", track_id, t, dets.camera_id)
                        for track_id in self.track_ids[born].tolist()]
             rows = kept[order]
             self._fuse(matched, born, predicted[matched], dets.skeletons.joints[rows],
                        dets.skeletons.valid[rows], centroids[order], t)
 
-        retired = t - self.last_seen > cfg.max_track_age
+        retired = t - self.filters.last_update[:, CENTROID] > cfg.max_track_age
         if retired.any():
             events += [TrackEvent("retired", track_id, t, dets.camera_id)
                        for track_id in self.track_ids[retired].tolist()]
             self._keep(~retired)
 
-        self._latest_stamp = t if self._latest_stamp is None else max(self._latest_stamp, t)
+        self._latest_stamp = max(self._latest_stamp, t)
         return events
 
     def snapshot(self, t: Timestamp) -> FusedSnapshot:
@@ -177,7 +186,7 @@ class PoseTracker:
         come out sorted by track id.
         """
         confirmed = np.flatnonzero(self.hits >= self.config.min_hits_to_confirm)
-        valid = self.initialized[confirmed, :JOINT_COUNT]
+        valid = self.filters.p[confirmed, :JOINT_COUNT] > 0
         rows, joints = np.nonzero(valid)
         positions = np.zeros((len(confirmed), JOINT_COUNT, 3))
         traces = np.zeros((len(confirmed), JOINT_COUNT))
@@ -203,15 +212,13 @@ class PoseTracker:
         if n:
             _store(self.filters, (matched, CENTROID),
                    ukf.update(centroid_predicted, centroids[:n], self._centroid_noise))
-            self.last_seen[matched] = np.maximum(self.last_seen[matched], t)
             self.hits[matched] += 1
         if len(born):
             _store(self.filters, (born, CENTROID),
                    ukf.init_filter(centroids[n:], t, self._centroid_noise))
-            self.initialized[born, CENTROID] = True
 
         rows = np.concatenate([matched, born])
-        started = self.initialized[rows, :JOINT_COUNT]
+        started = self.filters.p[rows, :JOINT_COUNT] > 0
         # Newborn rows have started no joint, so these are matched rows.
         r, j = np.nonzero(started)
         if len(r):
@@ -223,12 +230,11 @@ class PoseTracker:
         r, j = np.nonzero(valid & ~started)
         if len(r):
             _store(self.filters, (rows[r], j), ukf.init_filter(measured[r, j], t, noise))
-            self.initialized[rows[r], j] = True
 
-    def _append(self, n: int, t: Timestamp) -> np.ndarray:
-        """Add ``n`` rows for tracks born at ``t``, with new ids; return their indices.
+    def _append(self, n: int) -> np.ndarray:
+        """Add ``n`` rows for newborn tracks, with new ids; return their indices.
 
-        A new row has one hit and no filter started yet.
+        A new row has one hit and is zero-filled, so no filter has started yet.
         """
         first_row, first_id = len(self.track_ids), self._next_id
         if not n:
@@ -237,19 +243,15 @@ class PoseTracker:
         f = self.filters
         self.filters = FilterState(*(np.concatenate([a, np.zeros((n, *a.shape[1:]))])
                                      for a in (f.mean, f.p, f.c, f.v, f.last_update)))
-        self.initialized = np.concatenate([self.initialized, np.zeros((n, COLUMNS), dtype=bool)])
         self.track_ids = np.concatenate([self.track_ids, np.arange(first_id, first_id + n)])
         self.hits = np.concatenate([self.hits, np.ones(n, dtype=np.int64)])
-        self.last_seen = np.concatenate([self.last_seen, np.full(n, t)])
         return np.arange(first_row, first_row + n)
 
     def _keep(self, rows: np.ndarray) -> None:
         """Compact the table to ``rows`` (a mask), keeping their order."""
         self.filters = self.filters[rows]
-        self.initialized = self.initialized[rows]
         self.track_ids = self.track_ids[rows]
         self.hits = self.hits[rows]
-        self.last_seen = self.last_seen[rows]
 
 
 def _store(table: FilterState, at, rows: FilterState) -> None:

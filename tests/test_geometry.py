@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from skelfuse.errors import BehindCameraError, InvalidDepthError, OutOfImageError
+from skelfuse.errors import BehindCameraError, InvalidDepthError
 from skelfuse.geometry import back_project, median_depth, project, to_world
 from skelfuse.model import JOINT_COUNT
 
@@ -114,14 +114,6 @@ def test_median_depth_zero_means_missing():
     vals[2, 2] = 3.25
     dm = _depth_map(vals)
     assert median_depth(dm, (2.0, 2.0), 2.0) == 3.25
-
-
-def test_median_depth_out_of_bounds_is_error():
-    dm = _depth_map(np.full((5, 5), 1.0))
-    with pytest.raises(OutOfImageError):
-        median_depth(dm, (5.0, 2.0), 2.0)
-    with pytest.raises(OutOfImageError):
-        median_depth(dm, (2.0, -0.1), 2.0)
 
 
 def test_median_depth_lower_median_on_even_count():

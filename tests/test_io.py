@@ -166,7 +166,9 @@ def _scenario_file(tmp_path, path=None, value=None) -> Path:
     return p
 
 
-@pytest.mark.parametrize("flags", [["--maf-k", "0"], ["--maf-k", "-3"], ["--seeds", "0"]])
+@pytest.mark.parametrize("flags", [["--maf-k", "0"], ["--maf-k", "-3"], ["--seeds", "0"],
+                                   ["--maf-k", "30", "--maf-k", "30"],
+                                   ["--seed-override", "-1"]])
 def test_bad_evaluate_flag_exits_2(flags, tmp_path):
     out = tmp_path / "eval"
     assert main(["evaluate", "--scenario", str(_scenario_file(tmp_path)),
@@ -186,6 +188,7 @@ SCENARIO_CASES = {
     "heading_deg infinite": (("persons", 0, "heading_deg"), math.inf),
     "position of two numbers": (("cameras", 0, "position"), [3.5, 3.5]),
     "splat_radius squared overflows": (("cameras", 0, "splat_radius"), 1e200),
+    "seed negative": (("seed",), -1),
 }
 
 
@@ -201,6 +204,18 @@ def test_valid_scenario_file_simulates(tmp_path):
     # The regression scenario is valid before it is broken.
     assert main(["simulate", "--scenario", str(_scenario_file(tmp_path)),
                  "--out", str(tmp_path / "sim")]) == 0
+
+
+def test_broken_yaml_scenario_exits_2_naming_its_line(tmp_path, capsys):
+    lines = _scenario_file(tmp_path).read_text(encoding="utf-8").splitlines()
+    # An unclosed flow sequence; the parser finds the error on the line after it.
+    lines += ["broken: [1, 2", "after: 3"]
+    p = tmp_path / "broken.yaml"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"invalid YAML (line {len(lines)})" in capsys.readouterr().err
 
 
 # -- fuzzing: one field of a valid stream or calibration, broken at random --

@@ -111,10 +111,10 @@ def test_invalid_joint_is_predict_only():
 def test_lazy_joint_filter_initialization():
     tracker = PoseTracker()
     tracker.ingest(_dets("c0", 0.0, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3)})]))
-    assert not tracker.initialized[0, 7]
+    assert tracker.filters.p[0, 7] == 0
     tracker.ingest(_dets("c0", 0.1, [sparse_skeleton({CHEST: (0.0, 0.0, 1.3),
                                                       7: (0.3, 0.1, 1.1)})]))
-    assert tracker.initialized[0, 7]
+    assert tracker.filters.p[0, 7] > 0
     assert tracker.filters.last_update[0, 7] == 0.1
 
 
@@ -127,7 +127,7 @@ def test_centroidless_detection_never_births():
 
 def _filter_bytes(tracker, row):
     """The bytes of every started filter of one table row."""
-    f = tracker.filters[row][tracker.initialized[row]]
+    f = tracker.filters[row][tracker.filters.p[row] > 0]
     return [a.tobytes() for a in (f.mean, f.p, f.c, f.v, f.last_update)]
 
 

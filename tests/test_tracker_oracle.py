@@ -6,7 +6,9 @@ A hypothesis state machine feeds the same generated detection sets to
 commit 060cd9b). Sets arrive in order, out of order within the stale
 tolerance, stale, empty, with centroid-less skeletons, with new persons, and
 after gaps longer than the age limit. After every step both trackers must
-return equal events and bit-equal snapshots.
+return equal events and bit-equal snapshots, and every table row, unconfirmed
+ones included, must hold the reference track's id, hits, last-seen stamp and
+started joints.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from reference import tracker as ref_tracker
 from reference import ukf as ref_ukf
 from skelfuse.model import CHEST, JOINT_COUNT, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER
 from skelfuse.model import DetectionSet, Skeleton3D
-from skelfuse.tracker import PoseTracker, TrackerConfig
+from skelfuse.tracker import CENTROID, PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig
 
 # Persons walk at constant velocity from these chest positions (m, m/s); one
@@ -130,7 +132,15 @@ class TrackerPair(RuleBasedStateMachine):
     def same_counters(self):
         if hasattr(self, "tracker"):
             assert self.tracker.stale_rejections == self.reference.stale_rejections
-            assert len(self.tracker.track_ids) == len(self.reference.tracks)
+            tracker, tracks = self.tracker, self.reference.tracks
+            assert tracker.track_ids.tolist() == [trk.track_id for trk in tracks]
+            assert tracker.hits.tolist() == [trk.hits for trk in tracks]
+            # Every row, unconfirmed ones too: last seen when its centroid
+            # filter last changed, and started where p > 0.
+            assert tracker.filters.last_update[:, CENTROID].tolist() == [
+                trk.last_seen for trk in tracks]
+            assert (tracker.filters.p[:, :JOINT_COUNT] > 0).tolist() == [
+                [f is not None for f in trk.joint_filters] for trk in tracks]
 
 
 TrackerPair.TestCase.settings = settings(
