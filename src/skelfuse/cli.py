@@ -85,6 +85,8 @@ def cmd_track(args) -> int:
     io.write_jsonl(out / "events.jsonl", event_records)
     io.write_jsonl(out / "snapshots.jsonl", snapshot_records)
     print(f"ingested {len(stream)} detection sets, wrote {len(event_records)} events to {out}")
+    if tracker.stale_rejections:
+        print(f"dropped {tracker.stale_rejections} stale detection sets", file=sys.stderr)
     return 0
 
 

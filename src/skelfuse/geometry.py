@@ -6,6 +6,13 @@ algebraic inverse. Depth for a 2D joint is recovered robustly as the median
 over a small pixel disk of the depth image (:func:`disk_window`), which
 rejects single outliers and tolerates missing samples.
 
+A depth image is held as a :class:`DepthWindow`: a rectangle of the image
+that holds every sample, with its top-left origin in the image and the
+image's size; every pixel outside the rectangle is missing. A pixel's
+squared distance to a disk centre is always computed from absolute image
+coordinates, never from coordinates shifted by the window's origin, so the
+same pixel gets the same bits from a window as from its full image.
+
 Camera-frame coordinates live only in these functions' plain arrays:
 :func:`to_world` registers a lifted (15, 3) joint array into the world frame,
 and :func:`world_to_camera` takes a world point back into a camera's frame
@@ -66,38 +73,56 @@ def back_project(
     return out
 
 
-def disk_window(
-    shape: tuple[int, int], x: float, y: float, radius: float
-) -> tuple[slice, slice, np.ndarray] | None:
-    """The integer pixels near (x, y), clipped to an image of ``shape``.
+class DepthWindow(NamedTuple):
+    """A rectangle of a depth image that holds all of its samples.
 
-    Returns the row and column slices of the window holding every pixel
-    within ``radius`` of (x, y) and the window's squared distances ``d2`` to
-    (x, y); the disk itself is ``d2 < radius**2``. Returns None when the
-    window misses the image.
+    ``depth[i, j]`` is the image's depth in meters at row ``top + i`` and
+    column ``left + j``, NaN where missing; every pixel outside the rectangle
+    is missing too. ``image_shape`` is the full image's (height, width). An
+    image with no sample is a 0x0 window.
     """
-    h, w = shape
-    x0 = max(0, math.ceil(x - radius))
-    x1 = min(w - 1, math.floor(x + radius))
-    y0 = max(0, math.ceil(y - radius))
-    y1 = min(h - 1, math.floor(y + radius))
+
+    depth: np.ndarray
+    top: int
+    left: int
+    image_shape: tuple[int, int]
+
+
+def disk_window(
+    bounds: tuple[int, int, int, int], x: float, y: float, radius: float
+) -> tuple[slice, slice, np.ndarray] | None:
+    """The integer pixels near (x, y), clipped to a rectangle of the image.
+
+    ``bounds`` is the rectangle's ``(top, left, height, width)`` in image
+    pixels. Returns the row and column slices, relative to the rectangle's
+    top-left corner, of the window holding every pixel of the rectangle
+    within ``radius`` of (x, y), and the window's squared distances ``d2`` to
+    (x, y); the disk itself is ``d2 < radius**2``. ``d2`` is computed from
+    absolute pixel coordinates, so a pixel's ``d2`` does not depend on the
+    rectangle. Returns None when the window misses the rectangle.
+    """
+    top, left, h, w = bounds
+    x0 = max(left, math.ceil(x - radius))
+    x1 = min(left + w - 1, math.floor(x + radius))
+    y0 = max(top, math.ceil(y - radius))
+    y1 = min(top + h - 1, math.floor(y + radius))
     if x0 > x1 or y0 > y1:
         return None
     d2 = (np.arange(x0, x1 + 1)[None, :] - x) ** 2 + (np.arange(y0, y1 + 1)[:, None] - y) ** 2
-    return slice(y0, y1 + 1), slice(x0, x1 + 1), d2
+    return slice(y0 - top, y1 + 1 - top), slice(x0 - left, x1 + 1 - left), d2
 
 
 def median_depth(
-    depth: np.ndarray, p: Pixel | tuple[float, float], radius_px: float = DEFAULT_NEIGHBORHOOD_PX
+    window: DepthWindow, p: Pixel | tuple[float, float], radius_px: float = DEFAULT_NEIGHBORHOOD_PX
 ) -> float | None:
     """Median of the valid depth samples within ``radius_px`` of pixel ``p``.
 
-    ``depth`` is a (height, width) image in meters. Samples are the integer
-    pixels whose Euclidean distance to ``p`` is strictly below the radius.
-    Depths that are 0, NaN, or negative count as missing. On an even sample
-    count the LOWER median is returned, so the result is always an observed
-    sample and never a fabricated value between two surfaces at a depth
-    discontinuity.
+    ``window`` holds the depth image and ``p`` is in image pixels. Samples
+    are the integer pixels whose Euclidean distance to ``p`` is strictly
+    below the radius. Depths that are 0, NaN, or negative count as missing,
+    as does every pixel outside the window. On an even sample count the
+    LOWER median is returned, so the result is always an observed sample and
+    never a fabricated value between two surfaces at a depth discontinuity.
 
     Returns None when the neighborhood holds no valid sample. ``p`` must lie
     in the image: ``lifting.lift_skeleton`` checks that first and marks a
@@ -109,12 +134,12 @@ def median_depth(
     if radius_px <= 0:
         raise ValueError("neighborhood radius must be positive")
     x, y = float(p[0]), float(p[1])
-    found = disk_window(depth.shape, x, y, radius_px)
+    found = disk_window((window.top, window.left, *window.depth.shape), x, y, radius_px)
     if found is None:
         return None
     rows, cols, d2 = found
-    window = depth[rows, cols]
-    samples = window[(d2 < radius_px**2) & np.isfinite(window) & (window > 0)]
+    patch = window.depth[rows, cols]
+    samples = patch[(d2 < radius_px**2) & np.isfinite(patch) & (patch > 0)]
     if samples.size == 0:
         return None
     samples = np.sort(samples)

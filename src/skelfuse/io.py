@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .model import CameraModel, DetectionSet, Skeleton3D
+from .model import JSON_NUMBER, CameraModel, DetectionSet, Skeleton3D
 from .simulate import GroundTruth
 from .tracker import FusedSnapshot, TrackEvent
 
@@ -57,9 +57,12 @@ def read_detections(path) -> list[DetectionSet]:
                 continue
             try:
                 d = json.loads(line)
+                stamp = d["stamp"]
+                if type(stamp) not in JSON_NUMBER:
+                    raise ConfigError(f"stamp must be a number, got {stamp!r}")
                 out.append(DetectionSet(
                     camera_id=str(d["camera_id"]),
-                    stamp=float(d["stamp"]),
+                    stamp=float(stamp),
                     skeletons=Skeleton3D.from_dicts(d["skeletons"]),
                 ))
             except _RECORD_ERRORS as exc:

@@ -29,6 +29,10 @@ from .errors import ConfigError
 
 Timestamp = float
 
+# The Python types ``json.loads`` gives a JSON number, the commoner first; a
+# bool is not one.
+JSON_NUMBER = (float, int)
+
 JOINT_COUNT = 15
 
 JOINT_NAMES = (
@@ -199,10 +203,13 @@ class Skeleton3D:
 
         Other keys (a snapshot's ``track_id``, ``cov_trace``) are ignored. A
         joint id that is not an int in ``[0, JOINT_COUNT)``, or that repeats
-        within a record, raises ConfigError.
+        within a record, a ``valid`` that is not a bool, or a valid joint's
+        coordinate that is not a JSON number (an int or float, never a bool
+        or a string) raises ConfigError.
         """
         c = np.zeros((len(records), JOINT_COUNT, 3))
         v = np.zeros((len(records), JOINT_COUNT), dtype=bool)
+        number = JSON_NUMBER
         for row, d in enumerate(records):
             seen = set()
             for entry in d["joints"]:
@@ -212,9 +219,15 @@ class Skeleton3D:
                         f"joint ids must be distinct ints in [0, {JOINT_COUNT}), got {i!r}"
                     )
                 seen.add(i)
-                if entry.get("valid"):
-                    c[row, i] = (float(entry["x"]), float(entry["y"]), float(entry["z"]))
+                ok = entry["valid"]
+                if ok is True:
+                    x, y, z = entry["x"], entry["y"], entry["z"]
+                    if not (type(x) in number and type(y) in number and type(z) in number):
+                        raise ConfigError(f"joint coordinates must be numbers, got {[x, y, z]!r}")
+                    c[row, i] = (x, y, z)
                     v[row, i] = True
+                elif ok is not False:
+                    raise ConfigError(f"joint 'valid' must be true or false, got {ok!r}")
         return cls(c, v)
 
     @classmethod

@@ -240,50 +240,84 @@ def look_at_extrinsic(position, look_at, up=(0.0, 0.0, 1.0)) -> np.ndarray:
 
 
 def _splat_disk(
-    depth: np.ndarray, best_d2: np.ndarray, px: float, py: float, z: float, radius: float
+    depth: np.ndarray, best_d2: np.ndarray, rows: slice, cols: slice, d2: np.ndarray,
+    z: float, radius: float
 ) -> None:
-    """Write ``z`` into the disk around (px, py); nearest joint center wins."""
-    found = geometry.disk_window(depth.shape, px, py, radius)
-    if found is None:
-        return
-    rows, cols, d2 = found
+    """Write ``z`` into the disk ``d2 < radius**2`` of ``depth[rows, cols]``.
+
+    The nearest joint center wins: ``best_d2`` holds, per pixel, the squared
+    distance of the joint whose depth the pixel holds, and a pixel changes
+    hands only to a strictly nearer joint. ``rows`` and ``cols`` index the
+    depth window; ``d2`` was taken from absolute image coordinates, so it
+    does not depend on where the window lies.
+    """
     sel = (d2 < radius**2) & (d2 < best_d2[rows, cols])
     depth[rows, cols][sel] = z
     best_d2[rows, cols][sel] = d2[sel]
 
 
+def _render_depth(
+    disks: list[tuple[slice, slice, np.ndarray, float]], spec: CameraSpec,
+    rng: np.random.Generator
+) -> geometry.DepthWindow:
+    """One person's depth image: their joints' splat disks over the union of those disks.
+
+    ``disks`` holds each splatted joint's image rows, columns and ``d2``
+    (from ``geometry.disk_window`` over the whole image) and its depth, in
+    joint order. Depth noise is drawn for the finite pixels in the window's
+    row-major order. Every finite pixel lies inside the window, so that is
+    the full image's row-major order and the noise draw keeps its count and
+    order whatever the window's size.
+    """
+    top = min((rows.start for rows, _, _, _ in disks), default=0)
+    bottom = max((rows.stop for rows, _, _, _ in disks), default=0)
+    left = min((cols.start for _, cols, _, _ in disks), default=0)
+    right = max((cols.stop for _, cols, _, _ in disks), default=0)
+    depth = np.full((bottom - top, right - left), np.nan)
+    best_d2 = np.full(depth.shape, np.inf)
+    for rows, cols, d2, z in disks:
+        _splat_disk(depth, best_d2, slice(rows.start - top, rows.stop - top),
+                    slice(cols.start - left, cols.stop - left), d2, z, spec.splat_radius)
+    holes = np.isfinite(depth)
+    n = int(np.count_nonzero(holes))
+    if n:
+        depth[holes] += rng.normal(0.0, spec.depth_sigma, size=n)
+    return geometry.DepthWindow(depth, top, left, (spec.height, spec.width))
+
+
 def render_detection(
     gt: GroundTruth, spec: CameraSpec, t: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None:
-    """Synthesize one camera frame: per-person noisy 2D skeletons + depth maps.
+) -> tuple[np.ndarray, np.ndarray, list[geometry.DepthWindow]] | None:
+    """Synthesize one camera frame: per-person noisy 2D skeletons + depth windows.
 
-    Returns ``(pixels, valid, depth_maps)``, one entry per person along the
+    Returns ``(pixels, valid, windows)``, one entry per person along the
     first axis: ``pixels`` is (P, 15, 2), ``valid`` (P, 15) bool with zero
-    pixels where invalid, and ``depth_maps`` a list of P (height, width)
-    images. Joints behind the camera or outside the image come out invalid,
-    as do dropout-sampled joints; with probability ``detection_dropout`` the
-    whole frame yields None. Each person gets their own sparse depth map with
+    pixels where invalid, and ``windows`` a list of P depth windows. Joints
+    behind the camera or outside the image come out invalid, as do
+    dropout-sampled joints; with probability ``detection_dropout`` the whole
+    frame yields None. Each person gets their own sparse depth image with
     depth splatted in disks around that person's true joint projections,
     elsewhere missing (NaN); within a person, overlapping splats resolve to
-    the nearest joint center. Persons never contaminate each other's depth —
-    occlusion between persons is out of scope here, dropout probability
-    stands in for it.
+    the nearest joint center. Only the union of a person's disks (clipped to
+    the image) is allocated, so a person out of view gets a 0x0 window.
+    Persons never contaminate each other's depth — occlusion between persons
+    is out of scope here, dropout probability stands in for it.
     """
     if rng.random() < spec.detection_dropout:
         return None
     cam = spec.camera
     w, h = spec.width, spec.height
+    image = (0, 0, h, w)
     person_ids = gt.person_ids
 
     pixels = np.zeros((len(person_ids), JOINT_COUNT, 2))
     valid = np.zeros((len(person_ids), JOINT_COUNT), dtype=bool)
-    depth_maps = []
+    windows = []
     for k, person_id in enumerate(person_ids):
         truth = gt.truth_at(person_id, t)
         noise = rng.normal(0.0, spec.pixel_sigma, size=(JOINT_COUNT, 2))
         drops = rng.random(JOINT_COUNT)
-        depth = np.full((h, w), np.nan)
-        best_d2 = np.full((h, w), np.inf)
+        disks = []
         for j in range(JOINT_COUNT):
             p_cam = geometry.world_to_camera(truth.joints[j], cam)
             if p_cam[2] <= 0.0:
@@ -291,7 +325,9 @@ def render_detection(
             px, d = geometry.project(p_cam, cam)
             if not (0.0 <= px.x < w and 0.0 <= px.y < h):
                 continue
-            _splat_disk(depth, best_d2, px.x, px.y, d, spec.splat_radius)
+            found = geometry.disk_window(image, px.x, px.y, spec.splat_radius)
+            if found is not None:
+                disks.append((*found, d))
             nx, ny = px.x + noise[j, 0], px.y + noise[j, 1]
             if not (0.0 <= nx < w and 0.0 <= ny < h):
                 continue
@@ -299,12 +335,8 @@ def render_detection(
                 continue
             pixels[k, j] = (nx, ny)
             valid[k, j] = True
-        holes = np.isfinite(depth)
-        n = int(np.count_nonzero(holes))
-        if n:
-            depth[holes] += rng.normal(0.0, spec.depth_sigma, size=n)
-        depth_maps.append(depth)
-    return pixels, valid, depth_maps
+        windows.append(_render_depth(disks, spec, rng))
+    return pixels, valid, windows
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ one is associated against the live tracks, matched tracks update their
 per-joint and centroid filters, unmatched detections birth tracks, and tracks
 unseen for longer than the age limit are retired. Stale detections within a
 small tolerance are applied with their filter time clamped (dt = 0); older
-ones are dropped with a logged staleness error and counted. The tracker alone
-handles time: per set it computes all centroids in one call, dropping
-centroid-less skeletons, predicts the centroid filters once, and association
-scores those. Sets arrive, and snapshots leave, as stacks of skeleton rows.
+ones are dropped and counted, the first with a logged warning and the rest
+at debug level. The tracker alone handles time: per set it computes all
+centroids in one call, dropping centroid-less skeletons, predicts the
+centroid filters once, and association scores those. Sets arrive, and
+snapshots leave, as stacks of skeleton rows.
 
 All filters live in one table, a ``FilterState`` of shape ``(T, 16)``: one
 row per track in birth order, columns 0-14 its joints and column 15 its
@@ -130,14 +131,15 @@ class PoseTracker:
 
         Returns the created/updated/retired events in deterministic order.
         A detection set older than the newest processed stamp by more than
-        the configured tolerance is rejected (logged + counted), leaving the
-        tracker untouched.
+        the configured tolerance is rejected and counted in
+        ``stale_rejections``, leaving the tracker untouched; only the first
+        rejection logs a warning, later ones log at debug level.
         """
         cfg = self.config
         t = dets.stamp
         if t < self._latest_stamp - cfg.stale_tolerance:
             self.stale_rejections += 1
-            log.error(
+            (log.warning if self.stale_rejections == 1 else log.debug)(
                 "dropping stale detection set from %s: stamp %.6f lags %.6f by more than %.3fs",
                 dets.camera_id, t, self._latest_stamp, cfg.stale_tolerance,
             )

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from skelfuse.geometry import DepthWindow
 from skelfuse.model import JOINT_COUNT, CameraModel, Skeleton3D
-from skelfuse.simulate import CameraSpec, PersonSpec, ScenarioConfig, look_at_extrinsic
+from skelfuse.simulate import (
+    CameraSpec, GroundTruth, PersonSpec, ScenarioConfig, look_at_extrinsic,
+)
 
 
 def make_camera(camera_id="cam", fx=525.0, fy=525.0, cx=319.5, cy=239.5,
@@ -18,6 +21,20 @@ def make_camera_spec(camera_id="cam", position=(4.0, 0.0, 1.6), target=(0.0, 0.0
                      **kwargs) -> CameraSpec:
     cam = make_camera(camera_id, extrinsic=look_at_extrinsic(position, target))
     return CameraSpec(camera=cam, **kwargs)
+
+
+def full_window(depth) -> DepthWindow:
+    """A whole (height, width) depth image as a window at the origin."""
+    depth = np.asarray(depth, dtype=float)
+    return DepthWindow(depth, 0, 0, depth.shape)
+
+
+def paste_window(window: DepthWindow) -> np.ndarray:
+    """The full depth image a window stands for: its pixels at its origin, NaN elsewhere."""
+    frame = np.full(window.image_shape, np.nan)
+    rows, cols = window.depth.shape
+    frame[window.top:window.top + rows, window.left:window.left + cols] = window.depth
+    return frame
 
 
 def full_skeleton(base=(0.0, 0.0, 1.0)) -> Skeleton3D:
@@ -52,3 +69,17 @@ def walking_scenario(seed=11, duration=4.0, n_cameras=2, persons=None, **camera_
         for i, (x, y) in enumerate(corners[:n_cameras])
     )
     return ScenarioConfig(seed=seed, duration=duration, persons=tuple(persons), cameras=cameras)
+
+
+def border_crossing():
+    """A person walking in through the left image border, one far to the side, one behind.
+
+    Returns the ground truth and the camera's position and target.
+    """
+    persons = (
+        PersonSpec("crosser", waypoints=np.array([[0.0, 0.0, -2.3], [1.5, 0.0, -1.5]]),
+                   heading_deg=90.0, swing_amplitude=0.4),
+        PersonSpec("aside", waypoints=np.array([[0.0, -5.0, 30.0], [1.5, -4.5, 30.0]])),
+        PersonSpec("behind", waypoints=np.array([[0.0, 10.0, 0.0]])),
+    )
+    return GroundTruth(persons, 1.5), (3.0, 0.0, 1.5), (0.0, 0.0, 1.0)

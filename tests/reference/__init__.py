@@ -1,10 +1,16 @@
-"""Frozen test-side reference: the per-filter tracker as of commit 060cd9b.
+"""Frozen test-side references: the per-filter tracker and the full-frame renderer.
 
-``ukf``, ``association`` and ``tracker`` are copies of those modules from
-before the tracker kept its filters in one table. Each filter there is a
-``FilterState`` of Python floats, predicted and updated one at a time. The
-differential test (``test_tracker_oracle.py``) feeds the same detection sets
-to this tracker and to ``skelfuse.tracker`` and requires equal events and
-bit-equal snapshots. Change these files only to strengthen the reference
-when the tracker's behaviour changes on purpose, never to narrow the check.
+``ukf``, ``association`` and ``tracker`` are copies of those modules as of
+commit 060cd9b, before the tracker kept its filters in one table. Each
+filter there is a ``FilterState`` of Python floats, predicted and updated one
+at a time. The differential test (``test_tracker_oracle.py``) feeds the same
+detection sets to this tracker and to ``skelfuse.tracker`` and requires
+equal events and bit-equal snapshots.
+
+``render`` is the simulator's depth renderer as of commit e7bef20, which drew
+every person's depth into two full-frame images; ``test_sim.py`` requires
+the windowed renderer to reproduce it bit for bit.
+
+Change these files only to strengthen a reference when the program's
+behaviour changes on purpose, never to narrow the check.
 """

@@ -21,7 +21,7 @@ from skelfuse.simulate import GroundTruth, load_scenario, bundled_scenario_path,
 from skelfuse.tracker import PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig, init_filter, predict, update
 
-from conftest import make_camera, make_camera_spec, sparse_skeleton, walking_scenario
+from conftest import full_window, make_camera, make_camera_spec, sparse_skeleton, walking_scenario
 from test_association import assert_partition, brute_force_min_cost, _brute_force_gated
 from test_ukf import LinearKalman, full_cov
 
@@ -143,10 +143,9 @@ def test_criterion_4_median_depth_brute_force():
         vals = rng.uniform(0.05, 8.0, size=(h, w))
         vals[rng.random((h, w)) < 0.25] = np.nan
         vals[rng.random((h, w)) < 0.15] = 0.0
-        dm = vals
         p = (float(rng.uniform(0, w - 1e-9)), float(rng.uniform(0, h - 1e-9)))
         r = float(rng.uniform(0.5, 5.0))
-        assert median_depth(dm, p, r) == _brute_force_median(dm, p, r)
+        assert median_depth(full_window(vals), p, r) == _brute_force_median(vals, p, r)
     print("\nACCEPTANCE 4 PASS: median_depth == sort-based oracle on 1000 neighborhoods")
 
 

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line surface and its file schemas."""
 
 import json
+import logging
 
 import pytest
 
 from skelfuse import io
 from skelfuse.cli import main
-from skelfuse.model import JOINT_COUNT
+from skelfuse.model import JOINT_COUNT, DetectionSet, Skeleton3D
+
+from conftest import full_skeleton, make_camera
 
 SCENARIO = """\
 seed: 321
@@ -134,6 +137,21 @@ def test_track_unknown_camera_exits_2_naming_id(tmp_path, scenario_file, capsys)
     assert "c1" in capsys.readouterr().err
 
 
+def test_track_stale_drops_warn_once_then_count(tmp_path, caplog, capsys):
+    stamps = [("c0", 2.0), ("c1", 1.0), ("c1", 1.1), ("c1", 1.2), ("c0", 2.1)]
+    io.write_detections(tmp_path / "stream.jsonl", (
+        DetectionSet(cam, stamp, Skeleton3D.stack([full_skeleton()])) for cam, stamp in stamps
+    ))
+    io.write_calibration(tmp_path / "calib.json", [make_camera("c0"), make_camera("c1")])
+    caplog.set_level(logging.DEBUG, logger="skelfuse.tracker")
+    assert main(["track", "--stream", str(tmp_path / "stream.jsonl"),
+                 "--calib", str(tmp_path / "calib.json"), "--out", str(tmp_path / "t")]) == 0
+    stale = [r for r in caplog.records if r.getMessage().startswith("dropping stale")]
+    assert [r.levelno for r in stale] == [logging.WARNING, logging.DEBUG, logging.DEBUG]
+    assert "from c1: stamp 1.000000 lags 2.000000 by more than 0.500s" in stale[0].getMessage()
+    assert capsys.readouterr().err.splitlines() == ["dropped 3 stale detection sets"]
+
+
 def test_track_deterministic_bytes(scenario_file, tmp_path):
     sim = tmp_path / "sim"
     main(["simulate", "--scenario", str(scenario_file), "--out", str(sim)])
@@ -257,6 +275,51 @@ def test_golden_stream_bytes_pinned(tmp_path):
     data = (out / "stream.jsonl").read_bytes()
     assert data.decode().splitlines()[0].startswith(GOLDEN_FIRST_RECORD_PREFIX)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_STREAM_SHA256
+
+
+# One person walks in through the left border of cam0's image, so many of
+# their depth splats are clipped by it; the other stays 30 m to the side,
+# in front of the camera but never in its view.
+BORDER_SCENARIO = """\
+seed: 17
+duration: 1.5
+persons:
+  - id: crosser
+    waypoints: [[0.0, 0.0, -2.3], [1.5, 0.0, -1.5]]
+    heading_deg: 90.0
+    swing_amplitude: 0.4
+  - id: absent
+    waypoints: [[0.0, -5.0, 30.0], [1.5, -4.5, 30.0]]
+cameras:
+  - id: cam0
+    fx: 500.0
+    fy: 500.0
+    cx: 320.0
+    cy: 240.0
+    width: 640
+    height: 480
+    position: [3.0, 0.0, 1.5]
+    look_at: [0.0, 0.0, 1.0]
+    frame_rate: 20.0
+    pixel_sigma: 1.0
+    depth_sigma: 0.01
+    joint_dropout: 0.1
+"""
+BORDER_STREAM_SHA256 = "0ea9e1d78bbaa565bd3e3ab69f4fef0aed69c8454c7e4130cdf263224b23e065"
+
+
+def test_border_stream_bytes_pinned(tmp_path):
+    import hashlib
+
+    scen = tmp_path / "border.yaml"
+    scen.write_text(BORDER_SCENARIO, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    sets = [json.loads(line) for line in (out / "stream.jsonl").read_text().splitlines()]
+    # The crosser enters the view part-way through; the absent person never does.
+    assert [len(s["skeletons"]) for s in sets[:2]] == [0, 0]
+    assert all(len(s["skeletons"]) == 1 for s in sets[2:])
+    assert hashlib.sha256((out / "stream.jsonl").read_bytes()).hexdigest() == BORDER_STREAM_SHA256
 
 
 # Simulator and tracker output on the bundled three_person_jitter scenario. The

@@ -9,7 +9,7 @@ from skelfuse.errors import BehindCameraError, InvalidDepthError
 from skelfuse.geometry import back_project, median_depth, project, to_world
 from skelfuse.model import JOINT_COUNT
 
-from conftest import make_camera, sparse_skeleton
+from conftest import full_window, make_camera, sparse_skeleton
 
 
 # --- project -----------------------------------------------------------------
@@ -85,12 +85,8 @@ def test_project_back_project_roundtrip_randomized():
 
 # --- median_depth ------------------------------------------------------------
 
-def _depth_map(values):
-    return np.asarray(values, dtype=float)
-
-
 def test_median_depth_uniform_map():
-    dm = _depth_map(np.full((5, 5), 1.5))
+    dm = full_window(np.full((5, 5), 1.5))
     assert median_depth(dm, (2.0, 2.0), 2.0) == 1.5
 
 
@@ -100,19 +96,19 @@ def test_median_depth_outlier_rejection():
     vals[2, 1] = 1.0
     vals[2, 2] = 1.1
     vals[2, 3] = 9.0
-    dm = _depth_map(vals)
+    dm = full_window(vals)
     assert median_depth(dm, (2.0, 2.0), 2.0) == 1.1
 
 
 def test_median_depth_all_missing():
-    dm = _depth_map(np.full((5, 5), np.nan))
+    dm = full_window(np.full((5, 5), np.nan))
     assert median_depth(dm, (2.0, 2.0), 2.0) is None
 
 
 def test_median_depth_zero_means_missing():
     vals = np.zeros((5, 5))
     vals[2, 2] = 3.25
-    dm = _depth_map(vals)
+    dm = full_window(vals)
     assert median_depth(dm, (2.0, 2.0), 2.0) == 3.25
 
 
@@ -121,7 +117,7 @@ def test_median_depth_lower_median_on_even_count():
     vals = np.full((5, 5), np.nan)
     vals[2, 2] = 2.0
     vals[2, 3] = 4.0
-    dm = _depth_map(vals)
+    dm = full_window(vals)
     assert median_depth(dm, (2.5, 2.0), 1.2) == 2.0
 
 
@@ -148,16 +144,15 @@ def test_median_depth_matches_brute_force_randomized():
         vals = rng.uniform(0.1, 6.0, size=(h, w))
         vals[rng.random((h, w)) < 0.3] = np.nan
         vals[rng.random((h, w)) < 0.2] = 0.0
-        dm = vals
         p = (rng.uniform(0, w - 1e-9), rng.uniform(0, h - 1e-9))
         r = rng.uniform(0.5, 4.0)
-        assert median_depth(dm, p, r) == _brute_force_median(dm, p, r)
+        assert median_depth(full_window(vals), p, r) == _brute_force_median(vals, p, r)
 
 
 def test_median_depth_permutation_invariant():
     rng = np.random.default_rng(5)
     base = rng.uniform(0.5, 3.0, size=(5, 5))
-    dm1 = _depth_map(base)
+    dm1 = full_window(base)
     m1 = median_depth(dm1, (2.0, 2.0), 2.5)
     # permute the sample VALUES inside the neighborhood
     shuffled = base.copy()
@@ -166,7 +161,7 @@ def test_median_depth_permutation_invariant():
     shuffled[1:4, 1:4] = flat.reshape(3, 3)
     # permuting contents can move values in/out of the disk boundary only if
     # the disk clips the block; radius 2.5 at center covers the whole 3x3
-    m2 = median_depth(_depth_map(shuffled), (2.0, 2.0), 2.5)
+    m2 = median_depth(full_window(shuffled), (2.0, 2.0), 2.5)
     assert m1 == m2
 
 
@@ -179,15 +174,15 @@ def test_median_depth_single_extreme_outlier_invariant():
         n = rng.integers(3, 8)
         cells = rng.choice(25, size=n, replace=False)
         vals[np.unravel_index(cells, (5, 5))] = rng.uniform(1.0, 3.0, size=n)
-        base = median_depth(_depth_map(vals), (2.0, 2.0), 4.0)
+        base = median_depth(full_window(vals), (2.0, 2.0), 4.0)
         hi = np.unravel_index(np.nanargmax(vals), (5, 5))
         lo = np.unravel_index(np.nanargmin(vals), (5, 5))
         vals_hi = vals.copy()
         vals_hi[hi] = 500.0
         vals_lo = vals.copy()
         vals_lo[lo] = 1e-4
-        assert median_depth(_depth_map(vals_hi), (2.0, 2.0), 4.0) == base
-        assert median_depth(_depth_map(vals_lo), (2.0, 2.0), 4.0) == base
+        assert median_depth(full_window(vals_hi), (2.0, 2.0), 4.0) == base
+        assert median_depth(full_window(vals_lo), (2.0, 2.0), 4.0) == base
 
 
 # --- to_world ------------------------------------------------------------------

@@ -92,6 +92,10 @@ STREAM_CASES = {
     "NaN stamp": ((1, "stamp"), math.nan),
     "infinite stamp": ((1, "stamp"), math.inf),
     "NaN coordinate": (JOINT3 + ("x",), math.nan),
+    "stamp true": ((1, "stamp"), True),
+    "stamp text": ((1, "stamp"), "0.0"),
+    "coordinate text": (JOINT3 + ("x",), "1.5"),
+    "valid 1": (JOINT3 + ("valid",), 1),
 }
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from skelfuse.geometry import project, world_to_camera
+from skelfuse.geometry import DepthWindow, project, world_to_camera
 from skelfuse.lifting import lift_skeleton, make_detection_set
 from skelfuse.model import JOINT_COUNT
-from skelfuse.simulate import GroundTruth, render_detection
+from skelfuse.simulate import GroundTruth, PersonSpec, render_detection
 
-from conftest import make_camera, make_camera_spec, walking_scenario
+from conftest import (
+    border_crossing, full_window, make_camera, make_camera_spec, paste_window, walking_scenario,
+)
 
 
 def _skeleton2d(points: dict[int, tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -22,7 +24,7 @@ def _skeleton2d(points: dict[int, tuple]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniform_depth(w, h, value):
-    return np.full((h, w), float(value))
+    return full_window(np.full((h, w), float(value)))
 
 
 def test_lift_all_invalid_stays_invalid():
@@ -45,7 +47,7 @@ def test_lift_missing_depth_invalidates_joint():
     vals = np.full((480, 640), np.nan)
     vals[100:120, 100:120] = 1.5
     s2d = _skeleton2d({0: (110.0, 110.0), 1: (400.0, 400.0)})
-    s3d = lift_skeleton(*s2d, vals, cam)
+    s3d = lift_skeleton(*s2d, full_window(vals), cam)
     assert s3d.valid[0]
     assert not s3d.valid[1]
 
@@ -67,9 +69,9 @@ def test_lift_project_roundtrip_on_rendered_skeletons():
     rng = np.random.default_rng(23)
     checked = 0
     for t in (0.5, 1.0, 2.0, 3.0):
-        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
-        for px2d, v2d, dm in zip(pixels, valid, depth_maps):
-            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
+        pixels, valid, windows = render_detection(gt, spec, t, rng)
+        for px2d, v2d, window in zip(pixels, valid, windows):
+            s3d = lift_skeleton(px2d, v2d, window, spec.camera)
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
@@ -88,9 +90,9 @@ def test_valid_3d_count_bounded_by_valid_2d():
     gt = GroundTruth(cfg.persons, cfg.duration)
     rng = np.random.default_rng(29)
     for t in (0.2, 1.2, 2.7):
-        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
-        for px2d, v2d, dm in zip(pixels, valid, depth_maps):
-            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
+        pixels, valid, windows = render_detection(gt, spec, t, rng)
+        for px2d, v2d, window in zip(pixels, valid, windows):
+            s3d = lift_skeleton(px2d, v2d, window, spec.camera)
             assert np.count_nonzero(s3d.valid) <= np.count_nonzero(v2d)
 
 
@@ -143,3 +145,83 @@ def test_make_detection_set_requires_one_depth_map_per_skeleton():
     px, valid = _skeleton2d({3: (320.0, 240.0)})
     with pytest.raises(ValueError):
         make_detection_set([px, px], [valid, valid], [_uniform_depth(640, 480, 2.0)], cam, stamp=0.0)
+
+
+# --- a depth window lifts as the full image it stands for -----------------------
+
+def _probe_pixels(rng, window, n):
+    """Pixels inside the window, within 3 px around its edge, and within 3 px of the image border."""
+    height, width = window.image_shape
+    rows, cols = window.depth.shape
+    lo = np.array([window.left, window.top], dtype=float)
+    hi = lo + (cols, rows)
+    inside = rng.uniform(lo, hi, size=(n, 2))
+    ring = rng.uniform(lo - 3.0, hi + 3.0, size=(n, 2))
+    border = rng.uniform((0.0, 0.0), (width, height), size=(n, 2))
+    side, edge = rng.integers(0, 4, size=n), rng.uniform(0.0, 3.0, size=n)
+    border[:, 0] = np.where(side == 0, edge, np.where(side == 1, width - edge, border[:, 0]))
+    border[:, 1] = np.where(side == 2, edge, np.where(side == 3, height - edge, border[:, 1]))
+    return np.concatenate([inside, ring, border])
+
+
+def _random_window(rng, height=480, width=640):
+    """A window of random depth, NaN and 0 samples, often touching the image border."""
+    top, left = int(rng.integers(0, height)), int(rng.integers(0, width))
+    bottom = min(height, top + int(rng.integers(0, 40)))
+    right = min(width, left + int(rng.integers(0, 40)))
+    if rng.random() < 0.25:
+        top = 0
+    if rng.random() < 0.25:
+        left = 0
+    if rng.random() < 0.25:
+        bottom = height
+    if rng.random() < 0.25:
+        right = width
+    depth = rng.uniform(0.5, 6.0, size=(bottom - top, right - left))
+    depth[rng.random(depth.shape) < 0.3] = np.nan
+    depth[rng.random(depth.shape) < 0.1] = 0.0
+    return DepthWindow(depth, top, left, (height, width))
+
+
+def _rendered_windows(rng):
+    """Windows of the border-crossing person, many of them cut by the image border."""
+    gt, position, target = border_crossing()
+    spec = make_camera_spec(position=position, target=target, depth_sigma=0.01)
+    for t in np.arange(0.5, 1.5, 0.05):
+        yield render_detection(gt, spec, float(t), rng)[2][0]
+
+
+def test_window_lifts_as_its_full_frame():
+    rng = np.random.default_rng(77)
+    cam = make_camera(fx=500, fy=500, cx=320, cy=240)
+    rendered = list(_rendered_windows(rng))
+    assert sum(w.left == 0 and w.depth.size > 0 for w in rendered) >= 5  # cut by the border
+    windows = [*rendered, *(_random_window(rng) for _ in range(80))]
+    lifted = 0
+    for window in windows:
+        frame = full_window(paste_window(window))
+        pool = _probe_pixels(rng, window, 20)
+        for _ in range(3):
+            pixels = pool[rng.integers(0, len(pool), size=JOINT_COUNT)]
+            valid = rng.random(JOINT_COUNT) < 0.9
+            got = lift_skeleton(pixels, valid, window, cam)
+            want = lift_skeleton(pixels, valid, frame, cam)
+            assert got == want
+            assert got.joints.tobytes() == want.joints.tobytes()
+            lifted += int(got.valid.sum())
+    assert lifted > 500
+
+
+def test_person_out_of_view_gets_empty_window_and_lifts_invalid():
+    spec = make_camera_spec(position=(4.0, 0.0, 1.6), target=(0.0, 0.0, 1.0), splat_radius=6.0)
+    persons = (PersonSpec("behind", waypoints=np.array([[0.0, 8.0, 0.0]])),
+               PersonSpec("aside", waypoints=np.array([[0.0, 0.0, 30.0]])))
+    gt = GroundTruth(persons, 1.0)
+    pixels, valid, windows = render_detection(gt, spec, 0.0, np.random.default_rng(5))
+    assert not valid.any()
+    everywhere = np.random.default_rng(6).uniform((0.0, 0.0), (640.0, 480.0), size=(JOINT_COUNT, 2))
+    for window in windows:
+        assert window.depth.shape == (0, 0)
+        assert window.image_shape == (480, 640)
+        s3d = lift_skeleton(everywhere, np.ones(JOINT_COUNT, dtype=bool), window, spec.camera)
+        assert not s3d.valid.any()

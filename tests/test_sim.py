@@ -18,7 +18,8 @@ from skelfuse.simulate import (
     scenario_from_dict,
 )
 
-from conftest import make_camera_spec, walking_scenario
+from conftest import border_crossing, make_camera_spec, paste_window, walking_scenario
+from reference import render as ref_render
 
 
 BONES = [
@@ -117,8 +118,8 @@ def test_render_zero_noise_lift_recovers_truth():
     gt = GroundTruth((_static_person(swing_amplitude=0.3),), 4.0)
     rng = np.random.default_rng(1)
     for t in (0.0, 1.3, 2.6):
-        pixels, valid, depth_maps = render_detection(gt, spec, t, rng)
-        s3d = lift_skeleton(pixels[0], valid[0], depth_maps[0], spec.camera)
+        pixels, valid, windows = render_detection(gt, spec, t, rng)
+        s3d = lift_skeleton(pixels[0], valid[0], windows[0], spec.camera)
         truth = gt.truth_at("p", t)
         assert s3d.valid.all()
         for j in range(JOINT_COUNT):
@@ -256,8 +257,8 @@ def test_render_noisy_lift_within_noise_bound():
     rng = np.random.default_rng(6)
     errs = []
     for t in np.arange(0.0, 4.0, 0.1):
-        pixels, valid, depth_maps = render_detection(gt, spec, float(t), rng)
-        s3d = lift_skeleton(pixels[0], valid[0], depth_maps[0], spec.camera)
+        pixels, valid, windows = render_detection(gt, spec, float(t), rng)
+        s3d = lift_skeleton(pixels[0], valid[0], windows[0], spec.camera)
         truth = gt.truth_at("p", float(t))
         for j in range(JOINT_COUNT):
             if s3d.valid[j]:
@@ -267,3 +268,32 @@ def test_render_noisy_lift_within_noise_bound():
     # lateral sigma ~ 2/525*4.3 m ~ 0.016, depth sigma 0.02: generous 6-sigma cap
     assert np.max(errs) < 0.2
     assert np.mean(errs) < 0.05
+
+
+# --- depth windows against the full-frame reference renderer --------------------
+
+@pytest.mark.parametrize("splat_radius", [0.0, 0.5, 6.0, 11.5])
+def test_render_windows_match_full_frame_reference(splat_radius):
+    gt, position, target = border_crossing()
+    spec = make_camera_spec(position=position, target=target, pixel_sigma=1.0,
+                            depth_sigma=0.01, joint_dropout=0.1, detection_dropout=0.1,
+                            splat_radius=splat_radius)
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    clipped = 0
+    for t in np.arange(0.0, 1.5, 0.05):
+        got = render_detection(gt, spec, float(t), rng)
+        want = ref_render.render_detection(gt, spec, float(t), ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if want is None:
+            assert got is None
+            continue
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(got[2]) == len(gt.person_ids)
+        for window, frame in zip(got[2], want[2], strict=True):
+            assert window.image_shape == (spec.height, spec.width)
+            assert np.array_equal(paste_window(window), frame, equal_nan=True)
+        crosser, aside, behind = got[2]
+        assert aside.depth.shape == behind.depth.shape == (0, 0)
+        clipped += crosser.left == 0 and np.isfinite(crosser.depth[:, :1]).any()
+    if splat_radius >= 6.0:
+        assert clipped >= 5  # splats cut by the left border
