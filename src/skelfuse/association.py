@@ -22,7 +22,8 @@ from . import ukf
 from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, Skeleton3D
 from .ukf import FilterState, NoiseConfig
 
-# Squared-Mahalanobis gate; 9.49 is the chi-square 95th percentile at 3 dof.
+# Squared-Mahalanobis gate on a 3D centroid. 9.49 is the chi-square 95th
+# percentile at 4 dof, about the 97.7th at 3 dof (whose 95th is 7.81).
 DEFAULT_GATE = 9.49
 
 # Fallback centroid weights when the chest is missing, renormalized over

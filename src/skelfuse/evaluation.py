@@ -4,7 +4,15 @@ Fused 3D joints are projected into a designated reference camera and compared
 to the ground-truth 2D joint there; per-joint mean/std pixel errors are
 reported per camera-count configuration for the tracker output ("ours") and
 for moving-average-filter baselines (MAF_k: each joint is the mean of its
-last k valid observations on the merged detection stream).
+last k valid observations).
+
+Both methods pick a person's estimate with the same oracle: the row whose
+centroid lies nearest that person's true chest. "Ours" takes the nearest
+fused track at each sample time. Each person's MAF window is fed, per
+detection set, the detection nearest the person's true chest at the set's
+capture stamp, so a set with one detection feeds it to every person's
+window. A report cell with no sample reads ``nan`` in the CSV and ``-`` in
+the table.
 """
 
 from __future__ import annotations
@@ -18,14 +26,7 @@ import numpy as np
 
 from . import association, geometry
 from .errors import BehindCameraError, ConfigError
-from .model import (
-    CHEST,
-    JOINT_COUNT,
-    LIMB_JOINTS,
-    CameraModel,
-    Skeleton3D,
-    joint_name,
-)
+from .model import CHEST, JOINT_COUNT, LIMB_JOINTS, CameraModel, joint_name
 from .simulate import ScenarioConfig, run_scenario
 from .tracker import PoseTracker
 
@@ -48,8 +49,13 @@ def reprojection_error(
     return math.hypot(px[0] - truth_pixel[0], px[1] - truth_pixel[1])
 
 
-class _JointWindows:
-    """Per-joint windows of the last ``size`` valid observations: the MAF state."""
+class MovingAverage:
+    """The MAF baseline's state: per joint, a window of the last ``size`` valid observations.
+
+    ``mean(j, k)`` is the arithmetic mean of joint ``j``'s last ``k`` valid
+    observations (fewer while the window fills). Missing observations are
+    skipped, never zero-filled, and a joint never observed has no mean.
+    """
 
     def __init__(self, size: int):
         self._windows = [deque(maxlen=size) for _ in range(JOINT_COUNT)]
@@ -66,31 +72,6 @@ class _JointWindows:
         if not window:
             return None
         return np.mean(list(window)[-k:], axis=0)
-
-
-def maf_baseline(history: Sequence[Skeleton3D], k: int) -> list[Skeleton3D]:
-    """Moving-average smoothing of a joint-observation series.
-
-    Output entry i holds, per joint, the arithmetic mean of that joint's last
-    k valid observations among history[0..i] (fewer while the window fills);
-    joints never observed so far stay missing. Missing observations are
-    skipped, never zero-filled.
-    """
-    if k < 1:
-        raise ValueError("window size k must be >= 1")
-    windows = _JointWindows(k)
-    out = []
-    for skel in history:
-        windows.push(skel.joints, skel.valid)
-        joints = np.zeros((JOINT_COUNT, 3))
-        valid = np.zeros(JOINT_COUNT, dtype=bool)
-        for j in range(JOINT_COUNT):
-            est = windows.mean(j, k)
-            if est is not None:
-                joints[j] = est
-                valid[j] = True
-        out.append(Skeleton3D(joints, valid))
-    return out
 
 
 @dataclass(frozen=True)
@@ -165,6 +146,21 @@ class _Accumulator:
         self.errors: list[float] = []
         self.n_excluded = 0
 
+    def score(self, estimate, truth_pixel, ref_cam: CameraModel) -> None:
+        """Score one estimate against one truth pixel.
+
+        A truth pixel of None (truth behind the reference camera) and an
+        estimate that lands behind it are excluded and counted; a None
+        estimate is skipped.
+        """
+        if truth_pixel is None:
+            self.n_excluded += 1
+        elif estimate is not None:
+            try:
+                self.errors.append(reprojection_error(estimate, truth_pixel, ref_cam))
+            except BehindCameraError:
+                self.n_excluded += 1
+
     def cell(self) -> ReportCell:
         if not self.errors:
             return ReportCell(math.nan, math.nan, 0, self.n_excluded)
@@ -191,16 +187,17 @@ def evaluate(
 ) -> EvalReport:
     """Run the full protocol over camera subsets, methods, and seeds.
 
-    For every seed the scenario is simulated once; for every camera subset
-    the subset's arrival-ordered stream is replayed into a fresh tracker with
-    the default config ("ours") and into one MAF_k window per k in
-    ``k_values``, all sampled at the reference camera's frame times from
-    ``WARMUP_S`` on. The truth pixel is the simulator pose projected into the
-    reference camera. Samples where truth or a fused joint falls behind the
-    reference camera are excluded and counted. Statistics pool all seeds.
-    A report row is labelled by its camera count and method, so a subset
-    that names a camera twice, two subsets of one size, or a repeated window
-    size raise ConfigError.
+    For every seed the scenario is simulated once and its arrival-ordered
+    stream replayed once: each detection set goes to the fresh default
+    tracker ("ours") and the per-person MAF windows of every subset that
+    holds its camera. All subsets are sampled at the reference camera's
+    frame times from ``WARMUP_S`` on. The truth pixel is the simulator pose
+    projected into the reference camera. Samples where truth or an estimate
+    falls behind the reference camera are excluded and counted. Statistics
+    pool all seeds. A report row is labelled by its camera count and method,
+    so a subset that names a camera twice, two subsets of one size, or a
+    repeated window size raise ConfigError, and so does a scenario with no
+    sample time or no person to score.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -235,89 +232,81 @@ def evaluate(
         for k in range(math.ceil(cfg.duration * ref_spec.frame_rate))
         if WARMUP_S <= k / ref_spec.frame_rate < cfg.duration
     ]
+    if not sample_times:
+        raise ConfigError(
+            f"no reference-camera frame lies in [{WARMUP_S}, {cfg.duration}) s: nothing to score"
+        )
+    if not cfg.persons:
+        raise ConfigError("the scenario has no persons: nothing to score")
 
-    method_labels = _method_labels(k_values)
+    methods = [f"MAF_{k}" for k in k_values] + ["ours"]
     acc: dict[tuple[str, str, int], _Accumulator] = {
-        (c, m, j): _Accumulator()
-        for c in configs
-        for m in method_labels
-        for j in LIMB_JOINTS
+        (c, m, j): _Accumulator() for c in configs for m in methods for j in LIMB_JOINTS
     }
-
+    cameras = [set(subset) for subset in camera_subsets]
     for seed in seeds:
-        scenario = replace(cfg, seed=int(seed))
-        events, gt = run_scenario(scenario)
-        for subset, config_label in zip(camera_subsets, configs):
-            subset_set = set(subset)
-            sub_events = [e for e in events if e.detections.camera_id in subset_set]
-            _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc)
+        events, gt = run_scenario(replace(cfg, seed=int(seed)))
+        pids = gt.person_ids
+        trackers = [PoseTracker() for _ in configs]
+        mafs = [{pid: MovingAverage(max(k_values, default=0)) for pid in pids} for _ in configs]
+        ei = 0
+        for t_s in sample_times:
+            while ei < len(events) and events[ei].arrival <= t_s:
+                dets = events[ei].detections
+                ei += 1
+                takers = [i for i, cams in enumerate(cameras) if dets.camera_id in cams]
+                for i in takers:
+                    trackers[i].ingest(dets)
+                if k_values and takers and len(dets.skeletons):
+                    _feed_mafs(dets, gt, pids, [mafs[i] for i in takers])
+
+            truth = {pid: gt.truth_at(pid, t_s).joints for pid in pids}
+            truth_px = {(pid, j): _pixel(truth[pid][j], ref_cam)
+                        for pid in pids for j in LIMB_JOINTS}
+            for config, tracker, windows in zip(configs, trackers, mafs):
+                fused = tracker.snapshot(t_s).tracks
+                centroids = association.centroid(fused)
+                for pid in pids:
+                    row = _nearest_row(centroids, truth[pid][CHEST])
+                    for j in LIMB_JOINTS:
+                        ours = None
+                        if row is not None and fused.valid[row, j]:
+                            ours = fused.joints[row, j]
+                        estimates = [windows[pid].mean(j, k) for k in k_values] + [ours]
+                        for method, est in zip(methods, estimates):
+                            acc[(config, method, j)].score(est, truth_px[(pid, j)], ref_cam)
 
     cells = {key: a.cell() for key, a in acc.items()}
-    return EvalReport(
-        configs=configs, methods=method_labels, joints=list(LIMB_JOINTS), cells=cells
-    )
+    return EvalReport(configs=configs, methods=methods, joints=list(LIMB_JOINTS), cells=cells)
+
+
+def _feed_mafs(dets, gt, pids, mafs) -> None:
+    """Push to each person's MAF in ``mafs`` the set's row nearest their true chest at its stamp."""
+    centroids = association.centroid(dets.skeletons)
+    for pid in pids:
+        row = _nearest_row(centroids, gt.truth_at(pid, dets.stamp).joints[CHEST])
+        if row is not None:
+            for windows in mafs:
+                windows[pid].push(dets.skeletons.joints[row], dets.skeletons.valid[row])
+
+
+def _pixel(point: np.ndarray, ref_cam: CameraModel):
+    """A world point's pixel in the reference camera, None if it lies behind it."""
+    try:
+        return geometry.project(geometry.world_to_camera(point, ref_cam), ref_cam)[0]
+    except BehindCameraError:
+        return None
 
 
 def _default_subsets(camera_ids: list[str]) -> list[list[str]]:
-    """1-camera, 2-camera (reference + farthest in list order), full network."""
+    """1-camera, 2-camera and full network, whatever the reference camera.
+
+    The 1-camera subset is the first listed camera; the 2-camera subset adds
+    the camera halfway down the list.
+    """
     subsets = [[camera_ids[0]]]
     if len(camera_ids) >= 2:
         subsets.append([camera_ids[0], camera_ids[len(camera_ids) // 2]])
     if len(camera_ids) > 2:
         subsets.append(list(camera_ids))
     return subsets
-
-
-def _method_labels(k_values) -> list[str]:
-    return [f"MAF_{k}" for k in k_values] + ["ours"]
-
-
-def _run_pass(sub_events, gt, sample_times, ref_cam, config_label, k_values, acc):
-    tracker = PoseTracker()
-    person_ids = gt.person_ids
-    maf_windows = {pid: _JointWindows(max(k_values, default=0)) for pid in person_ids}
-
-    ei = 0
-    for t_s in sample_times:
-        while ei < len(sub_events) and sub_events[ei].arrival <= t_s:
-            dets = sub_events[ei].detections
-            tracker.ingest(dets)
-            if k_values and len(dets.skeletons):
-                centroids = association.centroid(dets.skeletons)
-                for pid in person_ids:
-                    truth_chest = gt.truth_at(pid, dets.stamp).joints[CHEST]
-                    row = _nearest_row(centroids, truth_chest)
-                    if row is not None:
-                        maf_windows[pid].push(dets.skeletons.joints[row],
-                                              dets.skeletons.valid[row])
-            ei += 1
-
-        fused = tracker.snapshot(t_s).tracks
-        centroids = association.centroid(fused)
-        for pid in person_ids:
-            truth = gt.truth_at(pid, t_s)
-            row = _nearest_row(centroids, truth.joints[CHEST])
-            for j in LIMB_JOINTS:
-                try:
-                    p_star, _ = geometry.project(
-                        geometry.world_to_camera(truth.joints[j], ref_cam), ref_cam
-                    )
-                except BehindCameraError:
-                    for m in _method_labels(k_values):
-                        acc[(config_label, m, j)].n_excluded += 1
-                    continue
-                if row is not None and fused.valid[row, j]:
-                    try:
-                        err = reprojection_error(fused.joints[row, j], p_star, ref_cam)
-                        acc[(config_label, "ours", j)].errors.append(err)
-                    except BehindCameraError:
-                        acc[(config_label, "ours", j)].n_excluded += 1
-                for k in k_values:
-                    est = maf_windows[pid].mean(j, k)
-                    if est is None:
-                        continue
-                    try:
-                        err = reprojection_error(est, p_star, ref_cam)
-                        acc[(config_label, f"MAF_{k}", j)].errors.append(err)
-                    except BehindCameraError:
-                        acc[(config_label, f"MAF_{k}", j)].n_excluded += 1

@@ -1,14 +1,16 @@
 """Tests for reprojection error, the MAF baseline, and the report protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from skelfuse.errors import BehindCameraError, ConfigError
 from skelfuse.evaluation import (
     EvalReport,
+    MovingAverage,
     ReportCell,
     evaluate,
-    maf_baseline,
     reprojection_error,
 )
 from skelfuse.model import LIMB_JOINTS
@@ -59,71 +61,69 @@ def test_reprojection_error_world_frame_invariance():
         assert e2 == pytest.approx(e1, rel=1e-9, abs=1e-9)
 
 
-# --- maf_baseline ---------------------------------------------------------------
+# --- MovingAverage -------------------------------------------------------------
 
-def _series(values, joint=0):
-    """Per-frame skeletons with a single joint following ``values``; None = missing."""
+def _maf_means(values, k, joint=0):
+    """Joint ``joint``'s MAF_k estimate after each pushed frame; a None value is missing.
+
+    Estimates are x coordinates, None while the joint was never observed.
+    """
+    maf = MovingAverage(k)
     out = []
     for v in values:
-        if v is None:
-            out.append(sparse_skeleton({}))
-        else:
-            out.append(sparse_skeleton({joint: (v, 0.0, 0.0)}))
+        skel = sparse_skeleton({} if v is None else {joint: (v, 0.0, 0.0)})
+        maf.push(skel.joints, skel.valid)
+        est = maf.mean(joint, k)
+        out.append(None if est is None else est[0])
     return out
 
 
 def test_maf_constant_input_identity():
-    hist = _series([2.0] * 8)
-    smoothed = maf_baseline(hist, 4)
-    for s in smoothed:
-        assert s.joints[0][0] == pytest.approx(2.0)
+    for est in _maf_means([2.0] * 8, 4):
+        assert est == pytest.approx(2.0)
 
 
 def test_maf_k1_is_identity():
-    hist = _series([1.0, 5.0, -2.0, 0.5])
-    smoothed = maf_baseline(hist, 1)
-    for s, h in zip(smoothed, hist):
-        assert np.array_equal(s.joints[0], h.joints[0])
+    values = [1.0, 5.0, -2.0, 0.5]
+    assert _maf_means(values, 1) == values
 
 
 def test_maf_step_response_oracle():
     # Step 0 -> 1 at frame 10; at frame 12 the last 4 samples are {0,1,1,1}.
-    values = [0.0] * 10 + [1.0] * 5
-    smoothed = maf_baseline(_series(values), 4)
-    assert smoothed[12].joints[0][0] == pytest.approx(0.75)
-    assert smoothed[9].joints[0][0] == pytest.approx(0.0)
-    assert smoothed[10].joints[0][0] == pytest.approx(0.25)
+    means = _maf_means([0.0] * 10 + [1.0] * 5, 4)
+    assert means[12] == pytest.approx(0.75)
+    assert means[9] == pytest.approx(0.0)
+    assert means[10] == pytest.approx(0.25)
 
 
 def test_maf_skips_missing_not_zero_fills():
-    values = [2.0, None, None, 4.0]
-    smoothed = maf_baseline(_series(values), 2)
-    assert smoothed[0].joints[0][0] == pytest.approx(2.0)
-    assert smoothed[1].joints[0][0] == pytest.approx(2.0)  # holds last window
-    assert smoothed[3].joints[0][0] == pytest.approx(3.0)  # mean of {2, 4}
+    means = _maf_means([2.0, None, None, 4.0], 2)
+    assert means[0] == pytest.approx(2.0)
+    assert means[1] == pytest.approx(2.0)  # holds last window
+    assert means[3] == pytest.approx(3.0)  # mean of {2, 4}
 
 
 def test_maf_never_observed_joint_stays_missing():
-    smoothed = maf_baseline(_series([None, None]), 3)
-    assert not smoothed[-1].valid[0]
+    assert _maf_means([None, None], 3) == [None, None]
 
 
 def test_maf_window_shorter_history_uses_what_exists():
-    smoothed = maf_baseline(_series([1.0, 3.0]), 30)
-    assert smoothed[1].joints[0][0] == pytest.approx(2.0)
+    assert _maf_means([1.0, 3.0], 30)[1] == pytest.approx(2.0)
 
 
 def test_maf_per_joint_independence():
-    hist = [sparse_skeleton({0: (1.0, 0, 0), 5: (10.0, 0, 0)}),
-            sparse_skeleton({0: (3.0, 0, 0)})]
-    smoothed = maf_baseline(hist, 2)
-    assert smoothed[1].joints[0][0] == pytest.approx(2.0)
-    assert smoothed[1].joints[5][0] == pytest.approx(10.0)
+    maf = MovingAverage(2)
+    for skel in (sparse_skeleton({0: (1.0, 0, 0), 5: (10.0, 0, 0)}),
+                 sparse_skeleton({0: (3.0, 0, 0)})):
+        maf.push(skel.joints, skel.valid)
+    assert maf.mean(0, 2)[0] == pytest.approx(2.0)
+    assert maf.mean(5, 2)[0] == pytest.approx(10.0)
 
 
 def test_maf_rejects_bad_window():
-    with pytest.raises(ValueError):
-        maf_baseline(_series([1.0]), 0)
+    cfg = walking_scenario(duration=1.5, n_cameras=1)
+    with pytest.raises(ConfigError, match="MAF window sizes must be >= 1"):
+        evaluate(cfg, k_values=(0,))
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -208,3 +208,24 @@ def test_table_flags_large_cells():
     table = report.to_table()
     assert "150.0±1.0*" in table
     assert "10.0±1.0*" not in table
+
+
+# A person walks from in front of the reference camera c0 to behind it, so
+# both branches of the scoring show: excluded samples and scored ones.
+PIN_PERSONS = (
+    PersonSpec("p0", waypoints=np.array([[0.0, -1.0, -0.5], [3.0, 1.0, 0.5]])),
+    PersonSpec("p1", waypoints=np.array([[0.0, 1.0, 2.5], [3.0, 3.0, 6.0]])),
+)
+REPORT_SHA256 = "2d4ad83c17eff192487ca2fef82c1018ef3ca8f497fe560a158b31cb86989c7f"
+
+
+def test_evaluate_report_bytes_pinned():
+    cfg = walking_scenario(duration=3.0, n_cameras=2, persons=PIN_PERSONS, pixel_sigma=2.0,
+                           depth_sigma=0.02, joint_dropout=0.1)
+    report = evaluate(cfg, camera_subsets=[["c0"], ["c0", "c1"]], k_values=(1, 5),
+                      seeds=[cfg.seed, cfg.seed + 1])
+    cells = report.cells
+    assert any(c.n_excluded > 0 for c in cells.values())
+    assert any(c.n_samples > 0 for (_, m, _), c in cells.items() if m.startswith("MAF_"))
+    text = report.to_csv() + report.to_table()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256

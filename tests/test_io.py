@@ -161,23 +161,46 @@ def test_bad_track_flag_exits_2(flags, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def _scenario_file(tmp_path, path=None, value=None) -> Path:
+def _scenario_file(tmp_path, *changes) -> Path:
+    """Write the regression scenario with each ``(path, value)`` of ``changes`` applied."""
     scenario = copy.deepcopy(SCENARIO)
-    if path is not None:
+    for path, value in changes:
         _set(scenario, path, value)
     p = tmp_path / "scenario.yaml"
     p.write_text(yaml.safe_dump(scenario), encoding="utf-8")
     return p
 
 
+# The regression scenario ends at the 1 s warmup; run on, it has frames to
+# score at 1.0, 1.2 and 1.4 s.
+SCORED = (("duration",), 1.5)
+
+
+def _evaluate(tmp_path, *changes, flags=()) -> int:
+    return main(["evaluate", "--scenario", str(_scenario_file(tmp_path, SCORED, *changes)),
+                 "--out", str(tmp_path / "eval"), *flags])
+
+
+def test_valid_scenario_file_evaluates(tmp_path):
+    # The base of the evaluate cases below is valid: each exits 2 for what it breaks.
+    assert _evaluate(tmp_path) == 0
+
+
 @pytest.mark.parametrize("flags", [["--maf-k", "0"], ["--maf-k", "-3"], ["--seeds", "0"],
                                    ["--maf-k", "30", "--maf-k", "30"],
                                    ["--seed-override", "-1"]])
 def test_bad_evaluate_flag_exits_2(flags, tmp_path):
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--scenario", str(_scenario_file(tmp_path)),
-                 "--out", str(out), *flags]) == 2
-    assert not out.exists()
+    assert _evaluate(tmp_path, flags=flags) == 2
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("change", [(("duration",), 1.0), (("persons",), [])],
+                         ids=["no-frame-after-warmup", "no-persons"])
+def test_evaluate_with_nothing_to_score_exits_2(change, tmp_path, capsys):
+    # Either would write a report whose every cell reads nan,nan,0,0.
+    assert _evaluate(tmp_path, change) == 2
+    assert not (tmp_path / "eval").exists()
+    assert "nothing to score" in capsys.readouterr().err
 
 
 SCENARIO_CASES = {
@@ -199,7 +222,7 @@ SCENARIO_CASES = {
 @pytest.mark.parametrize("case", SCENARIO_CASES)
 def test_bad_scenario_value_exits_2(case, tmp_path):
     out = tmp_path / "sim"
-    assert main(["simulate", "--scenario", str(_scenario_file(tmp_path, *SCENARIO_CASES[case])),
+    assert main(["simulate", "--scenario", str(_scenario_file(tmp_path, SCENARIO_CASES[case])),
                  "--out", str(out)]) == 2
     assert not out.exists()
 
