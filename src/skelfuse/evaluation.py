@@ -18,7 +18,6 @@ the table.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -55,23 +54,35 @@ class MovingAverage:
     ``mean(j, k)`` is the arithmetic mean of joint ``j``'s last ``k`` valid
     observations (fewer while the window fills). Missing observations are
     skipped, never zero-filled, and a joint never observed has no mean.
+
+    Each joint's observations are rows of one contiguous (2 * size, 3)
+    buffer, appended in order and moved back to its start, keeping the last
+    ``size``, when it is full; a mean reads its rows in place.
     """
 
     def __init__(self, size: int):
-        self._windows = [deque(maxlen=size) for _ in range(JOINT_COUNT)]
+        self._size = size
+        self._rows = np.empty((JOINT_COUNT, 2 * size, 3))
+        self._count = [0] * JOINT_COUNT
 
     def push(self, joints: np.ndarray, valid: np.ndarray) -> None:
         """Append every valid joint of one skeleton row; missing joints are skipped."""
-        for j in range(JOINT_COUNT):
-            if valid[j]:
-                self._windows[j].append(joints[j])
+        if not self._size:
+            return
+        for j in np.flatnonzero(valid).tolist():
+            rows, n = self._rows[j], self._count[j]
+            if n == len(rows):
+                rows[:self._size] = rows[n - self._size:]
+                n = self._size
+            rows[n] = joints[j]
+            self._count[j] = n + 1
 
     def mean(self, j: int, k: int) -> np.ndarray | None:
         """Mean of joint ``j``'s last ``k`` observations, None if never observed."""
-        window = self._windows[j]
-        if not window:
+        n = self._count[j]
+        if not n:
             return None
-        return np.mean(list(window)[-k:], axis=0)
+        return np.mean(self._rows[j, max(0, n - min(k, self._size)):n], axis=0)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The pinhole model maps a camera-frame point P = (X, Y, Z) to the pixel
 p = (fx*X/Z + cx, fy*Y/Z + cy) with depth Z; back-projection is its exact
 algebraic inverse. Depth for a 2D joint is recovered robustly as the median
-over a small pixel disk of the depth image (:func:`disk_window`), which
-rejects single outliers and tolerates missing samples.
+over a small pixel disk of the depth image (:func:`median_depth`), which
+rejects single outliers and tolerates missing samples. Disks are taken many
+at a time (:func:`disks`): one broadcast covers every joint of a camera
+frame, whether the simulator splats depth into them or lifting samples it.
 
 A depth image is held as a :class:`DepthWindow`: a rectangle of the image
 that holds every sample, with its top-left origin in the image and the
@@ -14,7 +16,7 @@ coordinates, never from coordinates shifted by the window's origin, so the
 same pixel gets the same bits from a window as from its full image.
 
 Camera-frame coordinates live only in these functions' plain arrays:
-:func:`to_world` registers a lifted (15, 3) joint array into the world frame,
+:func:`to_world` registers lifted (..., 15, 3) joint arrays into the world frame,
 and :func:`world_to_camera` takes a world point back into a camera's frame
 for projection. Every ``Skeleton3D`` is world-frame.
 """
@@ -88,68 +90,108 @@ class DepthWindow(NamedTuple):
     image_shape: tuple[int, int]
 
 
-def disk_window(
-    bounds: tuple[int, int, int, int], x: float, y: float, radius: float
-) -> tuple[slice, slice, np.ndarray] | None:
-    """The integer pixels near (x, y), clipped to a rectangle of the image.
+class Disks(NamedTuple):
+    """The integer pixels of N disks, each clipped to a rectangle of the image.
+
+    Disk ``i``'s window is rows ``top[i]:bottom[i]`` and columns
+    ``left[i]:right[i]`` of the image, empty where ``bottom <= top`` or
+    ``right <= left``. ``rows`` (N, ky, 1) and ``cols`` (N, 1, kx) are the
+    absolute image coordinates of a (ky, kx) box at each window's top-left
+    corner, large enough for every window; ``d2`` (N, ky, kx) is each box
+    pixel's squared distance to its centre, and ``inside`` marks the box
+    pixels that lie in the window and in the disk, ``d2 < radius**2``.
+    """
+
+    top: np.ndarray
+    left: np.ndarray
+    bottom: np.ndarray
+    right: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    d2: np.ndarray
+    inside: np.ndarray
+
+
+def disks(bounds, x: np.ndarray, y: np.ndarray, radius: float) -> Disks:
+    """The pixels within ``radius`` of each centre ``(x[i], y[i])``, clipped to a rectangle.
 
     ``bounds`` is the rectangle's ``(top, left, height, width)`` in image
-    pixels. Returns the row and column slices, relative to the rectangle's
-    top-left corner, of the window holding every pixel of the rectangle
-    within ``radius`` of (x, y), and the window's squared distances ``d2`` to
-    (x, y); the disk itself is ``d2 < radius**2``. ``d2`` is computed from
-    absolute pixel coordinates, so a pixel's ``d2`` does not depend on the
-    rectangle. Returns None when the window misses the rectangle.
+    pixels, each a scalar or one value per centre. ``d2`` is computed from
+    absolute pixel coordinates, one broadcast for all centres, so a pixel's
+    ``d2`` does not depend on the rectangle or on the other centres.
     """
-    top, left, h, w = bounds
-    x0 = max(left, math.ceil(x - radius))
-    x1 = min(left + w - 1, math.floor(x + radius))
-    y0 = max(top, math.ceil(y - radius))
-    y1 = min(top + h - 1, math.floor(y + radius))
-    if x0 > x1 or y0 > y1:
-        return None
-    d2 = (np.arange(x0, x1 + 1)[None, :] - x) ** 2 + (np.arange(y0, y1 + 1)[:, None] - y) ** 2
-    return slice(y0 - top, y1 + 1 - top), slice(x0 - left, x1 + 1 - left), d2
+    top, left, h, w = (np.asarray(b, dtype=np.intp) for b in bounds)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x0 = np.maximum(left, np.ceil(x - radius)).astype(np.intp)
+    x1 = np.minimum(left + w - 1, np.floor(x + radius)).astype(np.intp)
+    y0 = np.maximum(top, np.ceil(y - radius)).astype(np.intp)
+    y1 = np.minimum(top + h - 1, np.floor(y + radius)).astype(np.intp)
+    kx = max(0, int((x1 - x0).max(initial=-1)) + 1)
+    ky = max(0, int((y1 - y0).max(initial=-1)) + 1)
+    cols = x0[:, None, None] + np.arange(kx)
+    rows = y0[:, None, None] + np.arange(ky)[:, None]
+    d2 = (cols - x[:, None, None]) ** 2 + (rows - y[:, None, None]) ** 2
+    inside = (cols <= x1[:, None, None]) & (rows <= y1[:, None, None]) & (d2 < radius**2)
+    return Disks(y0, x0, y1 + 1, x1 + 1, rows, cols, d2, inside)
 
 
 def median_depth(
-    window: DepthWindow, p: Pixel | tuple[float, float], radius_px: float = DEFAULT_NEIGHBORHOOD_PX
-) -> float | None:
-    """Median of the valid depth samples within ``radius_px`` of pixel ``p``.
+    windows: list[DepthWindow], which: np.ndarray, p: np.ndarray,
+    radius_px: float = DEFAULT_NEIGHBORHOOD_PX,
+) -> np.ndarray:
+    """Median of the valid depth samples within ``radius_px`` of each pixel ``p[i]``.
 
-    ``window`` holds the depth image and ``p`` is in image pixels. Samples
-    are the integer pixels whose Euclidean distance to ``p`` is strictly
-    below the radius. Depths that are 0, NaN, or negative count as missing,
-    as does every pixel outside the window. On an even sample count the
-    LOWER median is returned, so the result is always an observed sample and
-    never a fabricated value between two surfaces at a depth discontinuity.
+    ``p`` holds (N, 2) image pixels and ``which`` (N,) indexes ``windows``:
+    pixel ``i`` is sampled in ``windows[which[i]]``, so one call serves a
+    whole camera frame. Samples are the integer pixels whose Euclidean
+    distance to ``p[i]`` is strictly below the radius. Depths that are 0,
+    NaN, or negative count as missing, as does every pixel outside the
+    window. On an even sample count the LOWER median is returned, so the
+    result is always an observed sample and never a fabricated value between
+    two surfaces at a depth discontinuity.
 
-    Returns None when the neighborhood holds no valid sample. ``p`` must lie
-    in the image: ``lifting.lift_skeleton`` checks that first and marks a
-    joint outside it invalid.
+    The windows are read in one indexed gather and every neighborhood's
+    samples in one masked sort (missing samples sort last as +inf), so a
+    median is picked by index, bit for bit a sample.
+
+    Returns the (N,) medians, NaN where a neighborhood holds no valid
+    sample. Each ``p[i]`` must lie in the image: ``lifting.lift_skeleton``
+    checks that first and marks a joint outside it invalid.
 
     Raises:
         ValueError: if ``radius_px`` is not positive.
     """
     if radius_px <= 0:
         raise ValueError("neighborhood radius must be positive")
-    x, y = float(p[0]), float(p[1])
-    found = disk_window((window.top, window.left, *window.depth.shape), x, y, radius_px)
-    if found is None:
-        return None
-    rows, cols, d2 = found
-    patch = window.depth[rows, cols]
-    samples = patch[(d2 < radius_px**2) & np.isfinite(patch) & (patch > 0)]
-    if samples.size == 0:
-        return None
-    samples = np.sort(samples)
-    return float(samples[(samples.size - 1) // 2])
+    p = np.asarray(p, dtype=float).reshape(-1, 2)
+    which = np.asarray(which, dtype=np.intp)
+    shape = np.array([win.depth.shape for win in windows], dtype=np.intp).reshape(-1, 2)
+    origin = np.array([(win.top, win.left) for win in windows], dtype=np.intp).reshape(-1, 2)
+    size = shape[:, 0] * shape[:, 1]
+    start = np.cumsum(size) - size
+    # Every window's samples, then one missing sample that pixels off a window read.
+    flat = np.concatenate([win.depth.ravel() for win in windows] + [np.full(1, np.nan)])
+    top, left = origin[which].T
+    width = shape[which, 1]
+    d = disks((top, left, shape[which, 0], width), p[:, 0], p[:, 1], radius_px)
+    at = (start[which][:, None, None] + (d.rows - top[:, None, None]) * width[:, None, None]
+          + (d.cols - left[:, None, None]))
+    _, ky, kx = d.d2.shape
+    samples = flat[np.where(d.inside, at, flat.size - 1)].reshape(len(p), ky * kx)
+    ok = np.isfinite(samples) & (samples > 0)
+    samples = np.sort(np.where(ok, samples, np.inf), axis=1)
+    n = np.count_nonzero(ok, axis=1)
+    out = np.full(len(p), np.nan)
+    found = n > 0
+    out[found] = samples[found, (n[found] - 1) // 2]
+    return out
 
 
 def to_world(joints: np.ndarray, valid: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Map a (15, 3) joint array from ``cam``'s frame to the world frame.
+    """Map (..., 15, 3) joint arrays from ``cam``'s frame to the world frame.
 
-    Valid rows go through the rigid extrinsic; invalid rows come out zero.
+    Valid joints go through the rigid extrinsic; invalid joints come out zero.
     """
     r = cam.extrinsic[:3, :3]
     t = cam.extrinsic[:3, 3]

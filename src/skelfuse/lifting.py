@@ -1,12 +1,15 @@
 """Single-view detector tail: 2D skeletons + depth -> world-frame 3D detections.
 
-A 2D skeleton is a plain (15, 2) pixel array with a (15,) validity mask,
-and its depth image a ``geometry.DepthWindow``. Each valid in-image joint
-gets a robust median depth sampled around its pixel; joints with missing depth (or invalid 2D input) become invalid 3D
-joints. A partial skeleton never aborts the pipeline. The joints that found
-a depth are back-projected together in one call, and the resulting (15, 3)
-camera-frame array is registered into the world frame before the
-``Skeleton3D`` is built.
+A camera frame's 2D skeletons are a plain (P, 15, 2) pixel array with a
+(P, 15) validity mask, and each skeleton's depth image a
+``geometry.DepthWindow``. Each valid in-image joint gets a robust median
+depth sampled around its pixel; joints with missing depth (or invalid 2D
+input) become invalid 3D joints. A partial skeleton never aborts the
+pipeline. The whole frame is lifted at once: one ``geometry.median_depth``
+call samples every candidate joint of every skeleton, the joints that found
+a depth are back-projected together in one call, and the resulting
+(P, 15, 3) camera-frame array is registered into the world frame before the
+``Skeleton3D`` stack is built.
 """
 
 from __future__ import annotations
@@ -18,28 +21,33 @@ from .model import JOINT_COUNT, CameraModel, DetectionSet, Skeleton3D, Timestamp
 
 
 def lift_skeleton(
-    pixels: np.ndarray, valid: np.ndarray, window: geometry.DepthWindow, cam: CameraModel
+    pixels: np.ndarray, valid: np.ndarray, windows: list[geometry.DepthWindow], cam: CameraModel
 ) -> Skeleton3D:
-    """Lift one (15, 2) pixel skeleton to world-frame 3D with ``cam``'s depth image.
+    """Lift a camera frame's (P, 15, 2) pixel skeletons to a world-frame stack of P rows.
 
-    ``valid`` is the (15,) mask of detected joints and ``window`` the window
-    of the depth image that holds its samples; pixels are in image
-    coordinates, whatever the window's origin. A valid 2D joint whose pixel
-    falls outside the image, or whose depth neighborhood holds no valid
-    sample, yields an invalid 3D joint.
+    ``valid`` is the (P, 15) mask of detected joints and ``windows[i]`` the
+    window of the depth image that holds skeleton i's samples; pixels are in
+    image coordinates, whatever a window's origin. A valid 2D joint whose
+    pixel falls outside the image, or whose depth neighborhood holds no
+    valid sample, yields an invalid 3D joint.
+
+    Raises:
+        ValueError: if there is not exactly one window per skeleton.
     """
-    h, w = window.image_shape
-    lifted = np.zeros(JOINT_COUNT, dtype=bool)
-    depths = []
-    for i, (ok, (x, y)) in enumerate(zip(valid.tolist(), pixels.tolist())):
-        if ok and 0.0 <= x < w and 0.0 <= y < h:
-            d = geometry.median_depth(window, (x, y))
-            if d is not None:
-                lifted[i] = True
-                depths.append(d)
-    joints = np.zeros((JOINT_COUNT, 3))
-    if depths:
-        joints[lifted] = geometry.back_project(pixels[lifted], depths, cam)
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, JOINT_COUNT, 2)
+    valid = np.asarray(valid, dtype=bool).reshape(-1, JOINT_COUNT)
+    if len(windows) != len(pixels):
+        raise ValueError(f"{len(pixels)} skeletons need as many depth windows, got {len(windows)}")
+    # Each skeleton's image (width, height), to compare with its (x, y) pixels.
+    size = np.array([win.image_shape[::-1] for win in windows], dtype=float).reshape(-1, 1, 2)
+    candidate = valid & ((0.0 <= pixels) & (pixels < size)).all(axis=-1)
+    which, _ = np.nonzero(candidate)
+    depth = geometry.median_depth(windows, which, pixels[candidate])
+    found = ~np.isnan(depth)
+    lifted = np.zeros_like(candidate)
+    lifted[candidate] = found
+    joints = np.zeros((len(pixels), JOINT_COUNT, 3))
+    joints[lifted] = geometry.back_project(pixels[lifted], depth[found], cam)
     return Skeleton3D(geometry.to_world(joints, lifted, cam), lifted)
 
 
@@ -58,9 +66,6 @@ def make_detection_set(
     is unassociable evidence and would only create ghost detections
     downstream. The result may legitimately hold zero skeletons.
     """
-    lifted = [
-        lift_skeleton(px, v, window, cam)
-        for px, v, window in zip(pixels, valid, windows, strict=True)
-    ]
+    lifted = lift_skeleton(pixels, valid, windows, cam)
     return DetectionSet(camera_id=cam.camera_id, stamp=stamp,
-                        skeletons=Skeleton3D.stack([s for s in lifted if s.valid.any()]))
+                        skeletons=lifted[lifted.valid.any(axis=1)])

@@ -239,50 +239,71 @@ def look_at_extrinsic(position, look_at, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     return m
 
 
-def _splat_disk(
-    depth: np.ndarray, best_d2: np.ndarray, rows: slice, cols: slice, d2: np.ndarray,
-    z: float, radius: float
-) -> None:
-    """Write ``z`` into the disk ``d2 < radius**2`` of ``depth[rows, cols]``.
+def _splat(
+    px: np.ndarray, py: np.ndarray, z: np.ndarray, person: np.ndarray, n_persons: int,
+    spec: CameraSpec,
+) -> tuple[np.ndarray, np.ndarray, list[int], list[geometry.DepthWindow]]:
+    """Every person's depth window of one frame, as views of one flat buffer.
 
-    The nearest joint center wins: ``best_d2`` holds, per pixel, the squared
-    distance of the joint whose depth the pixel holds, and a pixel changes
-    hands only to a strictly nearer joint. ``rows`` and ``cols`` index the
-    depth window; ``d2`` was taken from absolute image coordinates, so it
-    does not depend on where the window lies.
+    Joint i, of person ``person[i]``, lies at in-image pixel ``(px[i], py[i])``
+    with depth ``z[i]``, person by person and in joint order within a
+    person. Each splats its depth into its disk, all disks in one
+    ``geometry.disks`` broadcast over the whole image. Person k's window is
+    the union of their joints' clipped disk windows, 0x0 at the origin when
+    they have none. The windows lie row-major in ``depth``, one after
+    another in person order, NaN where no disk reaches. ``owned`` holds the
+    indices of the pixels a disk reaches, in ascending order, and
+    ``filled[k]`` counts those in person k's window.
+
+    A pixel belongs to the joint with the least ``d2 < radius**2``, and a tie
+    goes to the earlier joint: exactly the sequential rule under which a
+    pixel changes hands only to a strictly nearer joint. Windows share no
+    pixel, so persons never compete. Returns ``(depth, owned, filled, windows)``.
     """
-    sel = (d2 < radius**2) & (d2 < best_d2[rows, cols])
-    depth[rows, cols][sel] = z
-    best_d2[rows, cols][sel] = d2[sel]
+    d = geometry.disks((0, 0, spec.height, spec.width), px, py, spec.splat_radius)
+    some = (d.top < d.bottom) & (d.left < d.right)
+    top = np.full(n_persons, spec.height)
+    left = np.full(n_persons, spec.width)
+    bottom = np.zeros(n_persons, dtype=np.intp)
+    right = np.zeros(n_persons, dtype=np.intp)
+    np.minimum.at(top, person[some], d.top[some])
+    np.minimum.at(left, person[some], d.left[some])
+    np.maximum.at(bottom, person[some], d.bottom[some])
+    np.maximum.at(right, person[some], d.right[some])
+    none = bottom == 0
+    top[none] = 0
+    left[none] = 0
+    rows, cols = bottom - top, right - left
+    size = rows * cols
+    end = np.cumsum(size)
+    start = end - size
 
+    def per_disk(a):
+        return a[person][:, None, None]
 
-def _render_depth(
-    disks: list[tuple[slice, slice, np.ndarray, float]], spec: CameraSpec,
-    rng: np.random.Generator
-) -> geometry.DepthWindow:
-    """One person's depth image: their joints' splat disks over the union of those disks.
-
-    ``disks`` holds each splatted joint's image rows, columns and ``d2``
-    (from ``geometry.disk_window`` over the whole image) and its depth, in
-    joint order. Depth noise is drawn for the finite pixels in the window's
-    row-major order. Every finite pixel lies inside the window, so that is
-    the full image's row-major order and the noise draw keeps its count and
-    order whatever the window's size.
-    """
-    top = min((rows.start for rows, _, _, _ in disks), default=0)
-    bottom = max((rows.stop for rows, _, _, _ in disks), default=0)
-    left = min((cols.start for _, cols, _, _ in disks), default=0)
-    right = max((cols.stop for _, cols, _, _ in disks), default=0)
-    depth = np.full((bottom - top, right - left), np.nan)
-    best_d2 = np.full(depth.shape, np.inf)
-    for rows, cols, d2, z in disks:
-        _splat_disk(depth, best_d2, slice(rows.start - top, rows.stop - top),
-                    slice(cols.start - left, cols.stop - left), d2, z, spec.splat_radius)
-    holes = np.isfinite(depth)
-    n = int(np.count_nonzero(holes))
-    if n:
-        depth[holes] += rng.normal(0.0, spec.depth_sigma, size=n)
-    return geometry.DepthWindow(depth, top, left, (spec.height, spec.width))
+    at = per_disk(start) + (d.rows - per_disk(top)) * per_disk(cols) + (d.cols - per_disk(left))
+    at, d2 = at[d.inside], d.d2[d.inside]
+    disk = np.repeat(np.arange(len(z)), np.count_nonzero(d.inside, axis=(1, 2)))
+    # One frame-sized buffer holds in turn each pixel's least d2, its owning
+    # disk (an exact float) and its depth, so a frame allocates about what
+    # its windows hold.
+    buf = np.full(int(size.sum()), np.inf)
+    np.minimum.at(buf, at, d2)
+    nearest = d2 == buf[at]
+    buf.fill(np.inf)
+    np.minimum.at(buf, at[nearest], disk[nearest].astype(float))
+    owned = np.flatnonzero(buf < np.inf)
+    owner = buf[owned].astype(np.intp)
+    depth = buf
+    depth.fill(np.nan)
+    depth[owned] = z[owner]
+    filled = np.diff(np.searchsorted(owned, end), prepend=0)
+    windows = [
+        geometry.DepthWindow(depth[s:e].reshape(r, c), y0, x0, (spec.height, spec.width))
+        for s, e, y0, x0, r, c in zip(start.tolist(), end.tolist(), top.tolist(), left.tolist(),
+                                      rows.tolist(), cols.tolist())
+    ]
+    return depth, owned, filled.tolist(), windows
 
 
 def render_detection(
@@ -302,40 +323,49 @@ def render_detection(
     the image) is allocated, so a person out of view gets a 0x0 window.
     Persons never contaminate each other's depth — occlusion between persons
     is out of scope here, dropout probability stands in for it.
+
+    The frame is rendered with persons and joints as array axes: every
+    joint is projected, and every disk splatted, in one broadcast. The
+    random draws keep a person-by-person order: pixel noise, joint dropout,
+    then depth noise for the finite pixels of the person's window in
+    row-major order. Their counts depend on geometry only, so the splat
+    comes first.
     """
     if rng.random() < spec.detection_dropout:
         return None
     cam = spec.camera
     w, h = spec.width, spec.height
-    image = (0, 0, h, w)
-    person_ids = gt.person_ids
+    n_persons = len(gt.person_ids)
+    # One point per world_to_camera call: see there.
+    p_cam = np.array([
+        geometry.world_to_camera(joint, cam)
+        for person_id in gt.person_ids for joint in gt.truth_at(person_id, t).joints
+    ]).reshape(n_persons, JOINT_COUNT, 3)
+    z = p_cam[..., 2]
+    front = z > 0.0
+    z_front = np.where(front, z, 1.0)
+    # geometry.project's expressions, element by element, so the same bits.
+    px = cam.fx * p_cam[..., 0] / z_front + cam.cx
+    py = cam.fy * p_cam[..., 1] / z_front + cam.cy
+    seen = front & (0.0 <= px) & (px < w) & (0.0 <= py) & (py < h)
+    depth, owned, filled, windows = _splat(
+        px[seen], py[seen], z[seen], np.nonzero(seen)[0], n_persons, spec)
 
-    pixels = np.zeros((len(person_ids), JOINT_COUNT, 2))
-    valid = np.zeros((len(person_ids), JOINT_COUNT), dtype=bool)
-    windows = []
-    for k, person_id in enumerate(person_ids):
-        truth = gt.truth_at(person_id, t)
-        noise = rng.normal(0.0, spec.pixel_sigma, size=(JOINT_COUNT, 2))
-        drops = rng.random(JOINT_COUNT)
-        disks = []
-        for j in range(JOINT_COUNT):
-            p_cam = geometry.world_to_camera(truth.joints[j], cam)
-            if p_cam[2] <= 0.0:
-                continue
-            px, d = geometry.project(p_cam, cam)
-            if not (0.0 <= px.x < w and 0.0 <= px.y < h):
-                continue
-            found = geometry.disk_window(image, px.x, px.y, spec.splat_radius)
-            if found is not None:
-                disks.append((*found, d))
-            nx, ny = px.x + noise[j, 0], px.y + noise[j, 1]
-            if not (0.0 <= nx < w and 0.0 <= ny < h):
-                continue
-            if drops[j] < spec.joint_dropout:
-                continue
-            pixels[k, j] = (nx, ny)
-            valid[k, j] = True
-        windows.append(_render_depth(disks, spec, rng))
+    noise = np.empty((n_persons, JOINT_COUNT, 2))
+    drops = np.empty((n_persons, JOINT_COUNT))
+    depth_noise = []
+    for k, n in enumerate(filled):
+        noise[k] = rng.normal(0.0, spec.pixel_sigma, size=(JOINT_COUNT, 2))
+        drops[k] = rng.random(JOINT_COUNT)
+        if n:
+            depth_noise.append(rng.normal(0.0, spec.depth_sigma, size=n))
+    if depth_noise:
+        # The windows are views of ``depth``: this noises them all.
+        depth[owned] += np.concatenate(depth_noise)
+
+    nx, ny = px + noise[..., 0], py + noise[..., 1]
+    valid = seen & (0.0 <= nx) & (nx < w) & (0.0 <= ny) & (ny < h) & ~(drops < spec.joint_dropout)
+    pixels = np.where(valid[..., None], np.stack((nx, ny), axis=-1), 0.0)
     return pixels, valid, windows
 
 

@@ -83,3 +83,49 @@ def border_crossing():
         PersonSpec("behind", waypoints=np.array([[0.0, 10.0, 0.0]])),
     )
     return GroundTruth(persons, 1.5), (3.0, 0.0, 1.5), (0.0, 0.0, 1.0)
+
+
+# Seven persons before one camera: five in view at once, two of them walking
+# in through the left and right image borders and one so near the camera
+# that the bottom border cuts their feet; one stands behind the camera and
+# one far to the side, never in view. Their splats overlap in the image.
+GROUP_SCENARIO = """\
+seed: 23
+duration: 1.0
+persons:
+  - id: left
+    waypoints: [[0.0, 0.0, -2.4], [1.0, 0.0, -1.6]]
+    heading_deg: 90.0
+    swing_amplitude: 0.4
+  - id: right
+    waypoints: [[0.0, -0.3, 2.6], [1.0, -0.3, 1.9]]
+    heading_deg: -90.0
+    swing_amplitude: 0.4
+  - id: near
+    waypoints: [[0.0, 2.0, 0.4], [1.0, 1.9, 0.1]]
+    heading_deg: 180.0
+  - id: centre
+    waypoints: [[0.0, -0.6, -0.3], [1.0, -0.4, 0.3]]
+    heading_deg: 90.0
+  - id: back
+    waypoints: [[0.0, -1.5, 0.6]]
+  - id: behind
+    waypoints: [[0.0, 9.0, 0.0]]
+  - id: aside
+    waypoints: [[0.0, -5.0, 30.0]]
+cameras:
+  - id: cam0
+    fx: 500.0
+    fy: 500.0
+    cx: 320.0
+    cy: 240.0
+    width: 640
+    height: 480
+    position: [3.0, 0.0, 1.5]
+    look_at: [0.0, 0.0, 1.0]
+    frame_rate: 20.0
+    pixel_sigma: 1.0
+    depth_sigma: 0.01
+    joint_dropout: 0.1
+    detection_dropout: 0.1
+"""

@@ -14,7 +14,7 @@ import numpy as np
 from skelfuse.association import build_cost_matrix, centroid, data_association, munkres
 from skelfuse.cli import main
 from skelfuse.evaluation import evaluate
-from skelfuse.geometry import back_project, median_depth, project, world_to_camera
+from skelfuse.geometry import back_project, project, world_to_camera
 from skelfuse.lifting import lift_skeleton
 from skelfuse.model import JOINT_COUNT, LIMB_JOINTS, Skeleton3D
 from skelfuse.simulate import GroundTruth, load_scenario, bundled_scenario_path, render_detection, run_scenario
@@ -114,8 +114,7 @@ def test_criterion_3_geometry_roundtrips():
         rendered = render_detection(gt, spec, float(t), rng2)
         if rendered is None:
             continue
-        for px2d, v2d, dm in zip(*rendered):
-            s3d = lift_skeleton(px2d, v2d, dm, spec.camera)
+        for px2d, s3d in zip(rendered[0], lift_skeleton(*rendered, spec.camera)):
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
@@ -134,7 +133,7 @@ def test_criterion_3_geometry_roundtrips():
 # -----------------------------------------------------------------------------
 
 def test_criterion_4_median_depth_brute_force():
-    from test_geometry import _brute_force_median
+    from test_geometry import _brute_force_median, _median_at
 
     rng = np.random.default_rng(1004)
     for _ in range(1000):
@@ -145,7 +144,7 @@ def test_criterion_4_median_depth_brute_force():
         vals[rng.random((h, w)) < 0.15] = 0.0
         p = (float(rng.uniform(0, w - 1e-9)), float(rng.uniform(0, h - 1e-9)))
         r = float(rng.uniform(0.5, 5.0))
-        assert median_depth(full_window(vals), p, r) == _brute_force_median(vals, p, r)
+        assert _median_at(full_window(vals), p, r) == _brute_force_median(vals, p, r)
     print("\nACCEPTANCE 4 PASS: median_depth == sort-based oracle on 1000 neighborhoods")
 
 

@@ -9,7 +9,7 @@ from skelfuse import io
 from skelfuse.cli import main
 from skelfuse.model import JOINT_COUNT, DetectionSet, Skeleton3D
 
-from conftest import full_skeleton, make_camera
+from conftest import GROUP_SCENARIO, full_skeleton, make_camera
 
 SCENARIO = """\
 seed: 321
@@ -320,6 +320,25 @@ def test_border_stream_bytes_pinned(tmp_path):
     assert [len(s["skeletons"]) for s in sets[:2]] == [0, 0]
     assert all(len(s["skeletons"]) == 1 for s in sets[2:])
     assert hashlib.sha256((out / "stream.jsonl").read_bytes()).hexdigest() == BORDER_STREAM_SHA256
+
+
+# Five persons in view of one camera at once, splats cut by three image
+# borders (conftest.GROUP_SCENARIO). Recorded when each joint was still
+# rendered and lifted on its own; rendering and lifting a whole frame at a
+# time must keep every byte.
+GROUP_STREAM_SHA256 = "9c7a3c70b5db9951627d0af27a61c93d047f06c2958b2c131ba6f7ab81dac579"
+
+
+def test_group_stream_bytes_pinned(tmp_path):
+    import hashlib
+
+    scen = tmp_path / "group.yaml"
+    scen.write_text(GROUP_SCENARIO, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    sets = [json.loads(line) for line in (out / "stream.jsonl").read_text().splitlines()]
+    assert max(len(s["skeletons"]) for s in sets) == 5
+    assert hashlib.sha256((out / "stream.jsonl").read_bytes()).hexdigest() == GROUP_STREAM_SHA256
 
 
 # Simulator and tracker output on the bundled three_person_jitter scenario. The

@@ -13,7 +13,7 @@ from skelfuse.evaluation import (
     evaluate,
     reprojection_error,
 )
-from skelfuse.model import LIMB_JOINTS
+from skelfuse.model import JOINT_COUNT, LIMB_JOINTS
 from skelfuse.simulate import PersonSpec, look_at_extrinsic
 from conftest import make_camera, sparse_skeleton, walking_scenario
 
@@ -118,6 +118,26 @@ def test_maf_per_joint_independence():
         maf.push(skel.joints, skel.valid)
     assert maf.mean(0, 2)[0] == pytest.approx(2.0)
     assert maf.mean(5, 2)[0] == pytest.approx(10.0)
+
+
+def test_maf_means_equal_the_last_k_observations_bit_for_bit():
+    # Many times the window's size, so the buffer moves its rows back often.
+    rng = np.random.default_rng(8)
+    maf = MovingAverage(7)
+    seen = [[] for _ in range(JOINT_COUNT)]
+    for _ in range(60):
+        joints = rng.normal(size=(JOINT_COUNT, 3)) * 10.0 ** rng.integers(-3, 4)
+        valid = rng.random(JOINT_COUNT) < 0.7
+        maf.push(joints, valid)
+        for j in np.flatnonzero(valid):
+            seen[j].append(joints[j])
+        for j in range(JOINT_COUNT):
+            for k in (1, 3, 7):
+                got = maf.mean(j, k)
+                if not seen[j]:
+                    assert got is None
+                else:
+                    assert got.tobytes() == np.mean(seen[j][-k:], axis=0).tobytes()
 
 
 def test_maf_rejects_bad_window():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skelfuse.errors import BehindCameraError, InvalidDepthError
-from skelfuse.geometry import back_project, median_depth, project, to_world
+from skelfuse.geometry import DepthWindow, back_project, median_depth, project, to_world
 from skelfuse.model import JOINT_COUNT
 
 from conftest import full_window, make_camera, sparse_skeleton
@@ -85,9 +85,15 @@ def test_project_back_project_roundtrip_randomized():
 
 # --- median_depth ------------------------------------------------------------
 
+def _median_at(window, p, radius):
+    """``median_depth`` of one pixel, as a frame of one; None where no valid sample."""
+    (depth,) = median_depth([window], [0], [p], radius)
+    return None if np.isnan(depth) else float(depth)
+
+
 def test_median_depth_uniform_map():
     dm = full_window(np.full((5, 5), 1.5))
-    assert median_depth(dm, (2.0, 2.0), 2.0) == 1.5
+    assert _median_at(dm, (2.0, 2.0), 2.0) == 1.5
 
 
 def test_median_depth_outlier_rejection():
@@ -97,19 +103,19 @@ def test_median_depth_outlier_rejection():
     vals[2, 2] = 1.1
     vals[2, 3] = 9.0
     dm = full_window(vals)
-    assert median_depth(dm, (2.0, 2.0), 2.0) == 1.1
+    assert _median_at(dm, (2.0, 2.0), 2.0) == 1.1
 
 
 def test_median_depth_all_missing():
     dm = full_window(np.full((5, 5), np.nan))
-    assert median_depth(dm, (2.0, 2.0), 2.0) is None
+    assert _median_at(dm, (2.0, 2.0), 2.0) is None
 
 
 def test_median_depth_zero_means_missing():
     vals = np.zeros((5, 5))
     vals[2, 2] = 3.25
     dm = full_window(vals)
-    assert median_depth(dm, (2.0, 2.0), 2.0) == 3.25
+    assert _median_at(dm, (2.0, 2.0), 2.0) == 3.25
 
 
 def test_median_depth_lower_median_on_even_count():
@@ -118,7 +124,7 @@ def test_median_depth_lower_median_on_even_count():
     vals[2, 2] = 2.0
     vals[2, 3] = 4.0
     dm = full_window(vals)
-    assert median_depth(dm, (2.5, 2.0), 1.2) == 2.0
+    assert _median_at(dm, (2.5, 2.0), 1.2) == 2.0
 
 
 def _brute_force_median(dm, p, radius):
@@ -146,14 +152,14 @@ def test_median_depth_matches_brute_force_randomized():
         vals[rng.random((h, w)) < 0.2] = 0.0
         p = (rng.uniform(0, w - 1e-9), rng.uniform(0, h - 1e-9))
         r = rng.uniform(0.5, 4.0)
-        assert median_depth(full_window(vals), p, r) == _brute_force_median(vals, p, r)
+        assert _median_at(full_window(vals), p, r) == _brute_force_median(vals, p, r)
 
 
 def test_median_depth_permutation_invariant():
     rng = np.random.default_rng(5)
     base = rng.uniform(0.5, 3.0, size=(5, 5))
     dm1 = full_window(base)
-    m1 = median_depth(dm1, (2.0, 2.0), 2.5)
+    m1 = _median_at(dm1, (2.0, 2.0), 2.5)
     # permute the sample VALUES inside the neighborhood
     shuffled = base.copy()
     flat = shuffled[1:4, 1:4].reshape(-1)
@@ -161,7 +167,7 @@ def test_median_depth_permutation_invariant():
     shuffled[1:4, 1:4] = flat.reshape(3, 3)
     # permuting contents can move values in/out of the disk boundary only if
     # the disk clips the block; radius 2.5 at center covers the whole 3x3
-    m2 = median_depth(full_window(shuffled), (2.0, 2.0), 2.5)
+    m2 = _median_at(full_window(shuffled), (2.0, 2.0), 2.5)
     assert m1 == m2
 
 
@@ -174,15 +180,45 @@ def test_median_depth_single_extreme_outlier_invariant():
         n = rng.integers(3, 8)
         cells = rng.choice(25, size=n, replace=False)
         vals[np.unravel_index(cells, (5, 5))] = rng.uniform(1.0, 3.0, size=n)
-        base = median_depth(full_window(vals), (2.0, 2.0), 4.0)
+        base = _median_at(full_window(vals), (2.0, 2.0), 4.0)
         hi = np.unravel_index(np.nanargmax(vals), (5, 5))
         lo = np.unravel_index(np.nanargmin(vals), (5, 5))
         vals_hi = vals.copy()
         vals_hi[hi] = 500.0
         vals_lo = vals.copy()
         vals_lo[lo] = 1e-4
-        assert median_depth(full_window(vals_hi), (2.0, 2.0), 4.0) == base
-        assert median_depth(full_window(vals_lo), (2.0, 2.0), 4.0) == base
+        assert _median_at(full_window(vals_hi), (2.0, 2.0), 4.0) == base
+        assert _median_at(full_window(vals_lo), (2.0, 2.0), 4.0) == base
+
+
+def test_median_depth_batched_equals_one_pixel_at_a_time():
+    # One call over a frame of windows, some of them empty, gives every pixel
+    # the bits it gets alone, missing samples included.
+    rng = np.random.default_rng(31)
+    windows = []
+    for _ in range(12):
+        top, left = (int(v) for v in rng.integers(0, 40, size=2))
+        rows, cols = (int(v) for v in rng.integers(0, 25, size=2))
+        depth = rng.uniform(0.5, 6.0, size=(rows, cols))
+        depth[rng.random(depth.shape) < 0.3] = np.nan
+        depth[rng.random(depth.shape) < 0.1] = 0.0
+        windows.append(DepthWindow(depth, top, left, (64, 64)))
+    windows.insert(5, DepthWindow(np.empty((0, 0)), 0, 0, (64, 64)))
+    which = rng.integers(0, len(windows), size=400)
+    # Pixels in and around their own window, kept inside the image.
+    lo = np.array([(w.left, w.top) for w in windows], dtype=float)[which]
+    hi = lo + np.array([w.depth.shape[::-1] for w in windows])[which]
+    p = np.clip(rng.uniform(lo - 3.0, hi + 3.0), 0.0, 63.5)
+    for radius in (0.5, 3.0, 4.7):
+        batched = median_depth(windows, which, p, radius)
+        alone = [median_depth([windows[k]], [0], [q], radius)[0] for k, q in zip(which, p)]
+        assert batched.tobytes() == np.array(alone).tobytes()
+        assert 50 < np.isfinite(batched).sum() < len(p)
+
+
+def test_median_depth_rejects_nonpositive_radius():
+    with pytest.raises(ValueError):
+        median_depth([full_window(np.ones((3, 3)))], [0], [(1.0, 1.0)], 0.0)
 
 
 # --- to_world ------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from skelfuse.geometry import DepthWindow, project, world_to_camera
 from skelfuse.lifting import lift_skeleton, make_detection_set
 from skelfuse.model import JOINT_COUNT
-from skelfuse.simulate import GroundTruth, PersonSpec, render_detection
+from skelfuse.simulate import GroundTruth, PersonSpec, render_detection, scenario_from_dict
 
 from conftest import (
-    border_crossing, full_window, make_camera, make_camera_spec, paste_window, walking_scenario,
+    GROUP_SCENARIO, border_crossing, full_window, make_camera, make_camera_spec, paste_window,
+    walking_scenario,
 )
+from reference import lift as ref_lift
 
 
 def _skeleton2d(points: dict[int, tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -27,9 +30,14 @@ def _uniform_depth(w, h, value):
     return full_window(np.full((h, w), float(value)))
 
 
+def _lift_one(pixels, valid, window, cam):
+    """Lift one (15, 2) skeleton as a frame of one."""
+    return lift_skeleton(pixels[None], valid[None], [window], cam)[0]
+
+
 def test_lift_all_invalid_stays_invalid():
     cam = make_camera()
-    s = lift_skeleton(*_skeleton2d({}), _uniform_depth(640, 480, 2.0), cam)
+    s = _lift_one(*_skeleton2d({}), _uniform_depth(640, 480, 2.0), cam)
     assert not s.valid.any()
     assert not s.joints.any()
 
@@ -37,7 +45,7 @@ def test_lift_all_invalid_stays_invalid():
 def test_lift_joint_at_principal_point():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
     s2d = _skeleton2d({5: (320.0, 240.0)})
-    s3d = lift_skeleton(*s2d, _uniform_depth(640, 480, 2.0), cam)
+    s3d = _lift_one(*s2d, _uniform_depth(640, 480, 2.0), cam)
     assert s3d.valid[5]
     assert np.allclose(s3d.joints[5], [0.0, 0.0, 2.0])
 
@@ -47,7 +55,7 @@ def test_lift_missing_depth_invalidates_joint():
     vals = np.full((480, 640), np.nan)
     vals[100:120, 100:120] = 1.5
     s2d = _skeleton2d({0: (110.0, 110.0), 1: (400.0, 400.0)})
-    s3d = lift_skeleton(*s2d, full_window(vals), cam)
+    s3d = _lift_one(*s2d, full_window(vals), cam)
     assert s3d.valid[0]
     assert not s3d.valid[1]
 
@@ -55,7 +63,7 @@ def test_lift_missing_depth_invalidates_joint():
 def test_lift_out_of_image_joint_invalid_not_fatal():
     cam = make_camera()
     s2d = _skeleton2d({0: (1000.0, 50.0), 1: (320.0, 240.0)})
-    s3d = lift_skeleton(*s2d, _uniform_depth(640, 480, 2.0), cam)
+    s3d = _lift_one(*s2d, _uniform_depth(640, 480, 2.0), cam)
     assert not s3d.valid[0]
     assert s3d.valid[1]
 
@@ -70,8 +78,7 @@ def test_lift_project_roundtrip_on_rendered_skeletons():
     checked = 0
     for t in (0.5, 1.0, 2.0, 3.0):
         pixels, valid, windows = render_detection(gt, spec, t, rng)
-        for px2d, v2d, window in zip(pixels, valid, windows):
-            s3d = lift_skeleton(px2d, v2d, window, spec.camera)
+        for px2d, s3d in zip(pixels, lift_skeleton(pixels, valid, windows, spec.camera)):
             for j in range(JOINT_COUNT):
                 if not s3d.valid[j]:
                     continue
@@ -91,9 +98,8 @@ def test_valid_3d_count_bounded_by_valid_2d():
     rng = np.random.default_rng(29)
     for t in (0.2, 1.2, 2.7):
         pixels, valid, windows = render_detection(gt, spec, t, rng)
-        for px2d, v2d, window in zip(pixels, valid, windows):
-            s3d = lift_skeleton(px2d, v2d, window, spec.camera)
-            assert np.count_nonzero(s3d.valid) <= np.count_nonzero(v2d)
+        s3d = lift_skeleton(pixels, valid, windows, spec.camera)
+        assert (np.count_nonzero(s3d.valid, axis=1) <= np.count_nonzero(valid, axis=1)).all()
 
 
 def test_make_detection_set_empty_is_valid():
@@ -201,14 +207,16 @@ def test_window_lifts_as_its_full_frame():
     for window in windows:
         frame = full_window(paste_window(window))
         pool = _probe_pixels(rng, window, 20)
+        pixels, valid = [], []
         for _ in range(3):
-            pixels = pool[rng.integers(0, len(pool), size=JOINT_COUNT)]
-            valid = rng.random(JOINT_COUNT) < 0.9
-            got = lift_skeleton(pixels, valid, window, cam)
-            want = lift_skeleton(pixels, valid, frame, cam)
-            assert got == want
-            assert got.joints.tobytes() == want.joints.tobytes()
-            lifted += int(got.valid.sum())
+            pixels.append(pool[rng.integers(0, len(pool), size=JOINT_COUNT)])
+            valid.append(rng.random(JOINT_COUNT) < 0.9)
+        # Three skeletons over the same depth image make one frame.
+        got = lift_skeleton(pixels, valid, [window] * 3, cam)
+        want = lift_skeleton(pixels, valid, [frame] * 3, cam)
+        assert got == want
+        assert got.joints.tobytes() == want.joints.tobytes()
+        lifted += int(got.valid.sum())
     assert lifted > 500
 
 
@@ -223,5 +231,31 @@ def test_person_out_of_view_gets_empty_window_and_lifts_invalid():
     for window in windows:
         assert window.depth.shape == (0, 0)
         assert window.image_shape == (480, 640)
-        s3d = lift_skeleton(everywhere, np.ones(JOINT_COUNT, dtype=bool), window, spec.camera)
-        assert not s3d.valid.any()
+    s3d = lift_skeleton([everywhere] * 2, np.ones((2, JOINT_COUNT), dtype=bool), windows,
+                        spec.camera)
+    assert len(s3d) == 2
+    assert not s3d.valid.any()
+
+
+def test_frame_lift_equals_per_joint_reference():
+    # Rendered frames of five persons in view, then frames of random windows
+    # and pixels: each row of a frame lift is the per-joint lift, bit for bit.
+    cfg = scenario_from_dict(yaml.safe_load(GROUP_SCENARIO))
+    gt, spec = GroundTruth(cfg.persons, cfg.duration), cfg.cameras[0]
+    rng = np.random.default_rng(83)
+    frames = [render_detection(gt, spec, float(t), rng) for t in np.arange(0.0, 1.0, 0.1)]
+    frames = [f for f in frames if f is not None]
+    for _ in range(10):
+        windows = [_random_window(rng) for _ in range(4)]
+        pixels = [pool[rng.integers(0, len(pool), size=JOINT_COUNT)]
+                  for pool in (_probe_pixels(rng, w, 20) for w in windows)]
+        frames.append((np.array(pixels), rng.random((4, JOINT_COUNT)) < 0.9, windows))
+    lifted = 0
+    for pixels, valid, windows in frames:
+        got = lift_skeleton(pixels, valid, windows, spec.camera)
+        for row, (px, v, window) in enumerate(zip(pixels, valid, windows, strict=True)):
+            want = ref_lift.lift_skeleton(px, v, window, spec.camera)
+            assert got[row].valid.tobytes() == want.valid.tobytes()
+            assert got[row].joints.tobytes() == want.joints.tobytes()
+        lifted += int(got.valid.sum())
+    assert lifted > 500

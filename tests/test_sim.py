@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from skelfuse.errors import ConfigError
 from skelfuse.geometry import project, world_to_camera
 from skelfuse.lifting import lift_skeleton
 from skelfuse.model import CHEST, JOINT_COUNT
+from skelfuse import simulate
 from skelfuse.simulate import (
     CameraSpec,
     GroundTruth,
@@ -18,7 +20,9 @@ from skelfuse.simulate import (
     scenario_from_dict,
 )
 
-from conftest import border_crossing, make_camera_spec, paste_window, walking_scenario
+from conftest import (
+    GROUP_SCENARIO, border_crossing, make_camera_spec, paste_window, walking_scenario,
+)
 from reference import render as ref_render
 
 
@@ -118,8 +122,7 @@ def test_render_zero_noise_lift_recovers_truth():
     gt = GroundTruth((_static_person(swing_amplitude=0.3),), 4.0)
     rng = np.random.default_rng(1)
     for t in (0.0, 1.3, 2.6):
-        pixels, valid, windows = render_detection(gt, spec, t, rng)
-        s3d = lift_skeleton(pixels[0], valid[0], windows[0], spec.camera)
+        s3d = lift_skeleton(*render_detection(gt, spec, t, rng), spec.camera)[0]
         truth = gt.truth_at("p", t)
         assert s3d.valid.all()
         for j in range(JOINT_COUNT):
@@ -257,8 +260,7 @@ def test_render_noisy_lift_within_noise_bound():
     rng = np.random.default_rng(6)
     errs = []
     for t in np.arange(0.0, 4.0, 0.1):
-        pixels, valid, windows = render_detection(gt, spec, float(t), rng)
-        s3d = lift_skeleton(pixels[0], valid[0], windows[0], spec.camera)
+        s3d = lift_skeleton(*render_detection(gt, spec, float(t), rng), spec.camera)[0]
         truth = gt.truth_at("p", float(t))
         for j in range(JOINT_COUNT):
             if s3d.valid[j]:
@@ -297,3 +299,75 @@ def test_render_windows_match_full_frame_reference(splat_radius):
         clipped += crosser.left == 0 and np.isfinite(crosser.depth[:, :1]).any()
     if splat_radius >= 6.0:
         assert clipped >= 5  # splats cut by the left border
+
+
+def test_render_group_frames_match_full_frame_reference():
+    # Five persons in view at once, three of them cut by an image border, and
+    # two never in view: one broadcast renders them all as the reference does.
+    cfg = scenario_from_dict(yaml.safe_load(GROUP_SCENARIO))
+    gt, spec = GroundTruth(cfg.persons, cfg.duration), cfg.cameras[0]
+    h, w = spec.height, spec.width
+    rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
+    crowded = clipped = 0
+    for t in np.arange(0.0, 1.0, 0.05):
+        got = render_detection(gt, spec, float(t), rng)
+        want = ref_render.render_detection(gt, spec, float(t), ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if want is None:
+            assert got is None
+            continue
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for window, frame in zip(got[2], want[2], strict=True):
+            assert window.image_shape == (h, w)
+            assert np.array_equal(paste_window(window), frame, equal_nan=True)
+        in_view = [win for win in got[2] if np.isfinite(win.depth).any()]
+        crowded += len(in_view) >= 4
+        clipped += sum(win.left == 0 or win.left + win.depth.shape[1] == w
+                       or win.top + win.depth.shape[0] == h for win in in_view)
+        behind, aside = got[2][-2:]
+        assert behind.depth.shape == aside.depth.shape == (0, 0)
+    assert crowded >= 10
+    assert clipped >= 15
+
+
+def _tied_centres(rng, n, width, height):
+    """``n`` in-image centres, a third of them paired with a centre exactly 2 px away or on it."""
+    x = rng.uniform(0.0, width, size=n)
+    y = rng.uniform(0.0, height, size=n)
+    edge = rng.random(n) < 0.3  # hard against a border
+    x[edge] = rng.choice([0.0, 0.4, width - 1.0, width - 0.3], size=edge.sum())
+    for i in range(1, n, 3):
+        x[i - 1], y[i - 1] = rng.integers(0, width - 2), rng.integers(0, height - 2)
+        step = rng.choice([(2, 0), (0, 2), (0, 0)])  # a tie between, or on the centre
+        x[i], y[i] = x[i - 1] + step[0], y[i - 1] + step[1]
+    return x, y
+
+
+@pytest.mark.parametrize("splat_radius", [0.0, 0.5, 6.0, 11.5])
+def test_splat_matches_sequential_reference_with_ties(splat_radius):
+    # Integer centres two pixels apart leave the pixel between them
+    # equidistant from both; that pixel, like any tie, is the earlier joint's,
+    # as the reference's one-disk-at-a-time strict "<" rule gives it.
+    rng = np.random.default_rng(59)
+    spec = make_camera_spec(width=40, height=30, splat_radius=splat_radius)
+    ys, xs = np.mgrid[0:spec.height, 0:spec.width]
+    n_persons, ties = 3, 0
+    for _ in range(20):
+        x, y = _tied_centres(rng, n_persons * JOINT_COUNT, spec.width, spec.height)
+        z = rng.uniform(1.0, 5.0, size=x.size)
+        person = np.repeat(np.arange(n_persons), JOINT_COUNT)
+        depth, owned, filled, windows = simulate._splat(x, y, z, person, n_persons, spec)
+        assert np.array_equal(owned, np.flatnonzero(np.isfinite(depth)))
+        for k in range(n_persons):
+            want = np.full((spec.height, spec.width), np.nan)
+            best_d2 = np.full(want.shape, np.inf)
+            joints = np.flatnonzero(person == k)
+            for j in joints:
+                ref_render._splat_disk(want, best_d2, x[j], y[j], z[j], splat_radius)
+            assert np.array_equal(paste_window(windows[k]), want, equal_nan=True)
+            assert filled[k] == np.count_nonzero(np.isfinite(want))
+            d2 = (xs - x[joints, None, None]) ** 2 + (ys - y[joints, None, None]) ** 2
+            d2 = np.where(d2 < splat_radius**2, d2, np.inf)
+            ties += np.count_nonzero(((d2 == d2.min(axis=0)) & np.isfinite(d2)).sum(axis=0) > 1)
+    if splat_radius > 0.0:
+        assert ties > 50
