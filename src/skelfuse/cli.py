@@ -167,7 +167,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SkelFuseError as exc:
+    except (SkelFuseError, OSError) as exc:
+        # Readers report their files as ConfigError: an OSError is the output path.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`reading`, which turns a
+file that cannot be read into one."""
+
+from contextlib import contextmanager
 
 
 class SkelFuseError(Exception):
@@ -23,3 +26,12 @@ class FilterNumericsError(SkelFuseError):
 
 class ConfigError(SkelFuseError):
     """A scenario / calibration / tracker configuration is invalid."""
+
+
+@contextmanager
+def reading(path):
+    """Turn a failure to open the file at ``path``, or to decode it, into a ConfigError naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import association, geometry
-from .errors import BehindCameraError, ConfigError
+from .errors import ConfigError
 from .model import CHEST, JOINT_COUNT, LIMB_JOINTS, CameraModel, joint_name
 from .simulate import ScenarioConfig, run_scenario
 from .tracker import PoseTracker
@@ -152,33 +152,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-class _Accumulator:
-    def __init__(self):
-        self.errors: list[float] = []
-        self.n_excluded = 0
-
-    def score(self, estimate, truth_pixel, ref_cam: CameraModel) -> None:
-        """Score one estimate against one truth pixel.
-
-        A truth pixel of None (truth behind the reference camera) and an
-        estimate that lands behind it are excluded and counted; a None
-        estimate is skipped.
-        """
-        if truth_pixel is None:
-            self.n_excluded += 1
-        elif estimate is not None:
-            try:
-                self.errors.append(reprojection_error(estimate, truth_pixel, ref_cam))
-            except BehindCameraError:
-                self.n_excluded += 1
-
-    def cell(self) -> ReportCell:
-        if not self.errors:
-            return ReportCell(math.nan, math.nan, 0, self.n_excluded)
-        arr = np.asarray(self.errors)
-        return ReportCell(float(arr.mean()), float(arr.std()), len(arr), self.n_excluded)
-
-
 def _nearest_row(centroids: np.ndarray, point: np.ndarray) -> int | None:
     """Oracle association: the first row whose centroid is nearest to ``point``; never a NaN."""
     best, best_d = None, math.inf
@@ -203,12 +176,16 @@ def evaluate(
     tracker ("ours") and the per-person MAF windows of every subset that
     holds its camera. All subsets are sampled at the reference camera's
     frame times from ``WARMUP_S`` on. The truth pixel is the simulator pose
-    projected into the reference camera. Samples where truth or an estimate
+    projected into the reference camera. Each sample projects every
+    person's truth, and every estimate of every (subset, method, person,
+    joint), in one ``geometry.world_to_pixels`` call each; a missing
+    estimate is a NaN row and is skipped. Samples where truth or an estimate
     falls behind the reference camera are excluded and counted. Statistics
-    pool all seeds. A report row is labelled by its camera count and method,
-    so a subset that names a camera twice, two subsets of one size, or a
-    repeated window size raise ConfigError, and so does a scenario with no
-    sample time or no person to score.
+    pool all seeds, each cell's errors in sample, then person order. A
+    report row is labelled by its camera count and method, so a subset that
+    names a camera twice, two subsets of one size, or a repeated window size
+    raise ConfigError, and so does a scenario with no sample time or no
+    person to score.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -251,10 +228,11 @@ def evaluate(
         raise ConfigError("the scenario has no persons: nothing to score")
 
     methods = [f"MAF_{k}" for k in k_values] + ["ours"]
-    acc: dict[tuple[str, str, int], _Accumulator] = {
-        (c, m, j): _Accumulator() for c in configs for m in methods for j in LIMB_JOINTS
-    }
+    joints = list(LIMB_JOINTS)
     cameras = [set(subset) for subset in camera_subsets]
+    # Each (configuration, method, joint) cell's errors, by sample, then person.
+    errors = [[[[] for _ in joints] for _ in methods] for _ in configs]
+    excluded = np.zeros((len(configs), len(methods), len(joints)), dtype=int)
     for seed in seeds:
         events, gt = run_scenario(replace(cfg, seed=int(seed)))
         pids = gt.person_ids
@@ -271,24 +249,38 @@ def evaluate(
                 if k_values and takers and len(dets.skeletons):
                     _feed_mafs(dets, gt, pids, [mafs[i] for i in takers])
 
-            truth = {pid: gt.truth_at(pid, t_s).joints for pid in pids}
-            truth_px = {(pid, j): _pixel(truth[pid][j], ref_cam)
-                        for pid in pids for j in LIMB_JOINTS}
-            for config, tracker, windows in zip(configs, trackers, mafs):
+            truth = np.array([gt.truth_at(pid, t_s).joints for pid in pids])
+            estimates = np.full((len(configs), len(methods), len(pids), len(joints), 3), np.nan)
+            for est, tracker, windows in zip(estimates, trackers, mafs):
                 fused = tracker.snapshot(t_s).tracks
                 centroids = association.centroid(fused)
-                for pid in pids:
-                    row = _nearest_row(centroids, truth[pid][CHEST])
-                    for j in LIMB_JOINTS:
-                        ours = None
-                        if row is not None and fused.valid[row, j]:
-                            ours = fused.joints[row, j]
-                        estimates = [windows[pid].mean(j, k) for k in k_values] + [ours]
-                        for method, est in zip(methods, estimates):
-                            acc[(config, method, j)].score(est, truth_px[(pid, j)], ref_cam)
+                for p, pid in enumerate(pids):
+                    for m, k in enumerate(k_values):
+                        for i, j in enumerate(joints):
+                            mean = windows[pid].mean(j, k)
+                            if mean is not None:
+                                est[m, p, i] = mean
+                    row = _nearest_row(centroids, truth[p, CHEST])
+                    if row is not None:
+                        ok = fused.valid[row, joints]
+                        est[-1, p, ok] = fused.joints[row, joints][ok]
+            truth_px, truth_z = geometry.world_to_pixels(truth[:, joints], ref_cam)
+            est_px, est_z = geometry.world_to_pixels(estimates, ref_cam)
+            present = ~np.isnan(estimates[..., 0])
+            scored = present & (est_z > 0.0) & (truth_z > 0.0)
+            excluded += np.count_nonzero((truth_z <= 0.0) | present & (est_z <= 0.0), axis=2)
+            offsets = (est_px - truth_px)[scored].tolist()
+            for c, m, _, i, (dx, dy) in zip(*(a.tolist() for a in np.nonzero(scored)), offsets):
+                errors[c][m][i].append(math.hypot(dx, dy))
 
-    cells = {key: a.cell() for key, a in acc.items()}
-    return EvalReport(configs=configs, methods=methods, joints=list(LIMB_JOINTS), cells=cells)
+    cells = {}
+    for c, config in enumerate(configs):
+        for m, method in enumerate(methods):
+            for i, j in enumerate(joints):
+                e = np.asarray(errors[c][m][i])
+                mean, std = (float(e.mean()), float(e.std())) if len(e) else (math.nan, math.nan)
+                cells[(config, method, j)] = ReportCell(mean, std, len(e), int(excluded[c, m, i]))
+    return EvalReport(configs=configs, methods=methods, joints=joints, cells=cells)
 
 
 def _feed_mafs(dets, gt, pids, mafs) -> None:
@@ -299,14 +291,6 @@ def _feed_mafs(dets, gt, pids, mafs) -> None:
         if row is not None:
             for windows in mafs:
                 windows[pid].push(dets.skeletons.joints[row], dets.skeletons.valid[row])
-
-
-def _pixel(point: np.ndarray, ref_cam: CameraModel):
-    """A world point's pixel in the reference camera, None if it lies behind it."""
-    try:
-        return geometry.project(geometry.world_to_camera(point, ref_cam), ref_cam)[0]
-    except BehindCameraError:
-        return None
 
 
 def _default_subsets(camera_ids: list[str]) -> list[list[str]]:

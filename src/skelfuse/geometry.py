@@ -2,9 +2,12 @@
 
 The pinhole model maps a camera-frame point P = (X, Y, Z) to the pixel
 p = (fx*X/Z + cx, fy*Y/Z + cy) with depth Z; back-projection is its exact
-algebraic inverse. Depth for a 2D joint is recovered robustly as the median
-over a small pixel disk of the depth image (:func:`median_depth`), which
-rejects single outliers and tolerates missing samples. Disks are taken many
+algebraic inverse. :func:`world_to_camera`, :func:`project` and
+:func:`back_project` take stacks, (..., 3) points or (..., 2) pixels, and
+give each point the same bits as a call for that point alone. Depth for a
+2D joint is recovered robustly as the median over a small pixel disk of the
+depth image (:func:`median_depth`), which rejects single outliers and
+tolerates missing samples. Disks are taken many
 at a time (:func:`disks`): one broadcast covers every joint of a camera
 frame, whether the simulator splats depth into them or lifting samples it.
 
@@ -17,8 +20,9 @@ same pixel gets the same bits from a window as from its full image.
 
 Camera-frame coordinates live only in these functions' plain arrays:
 :func:`to_world` registers lifted (..., 15, 3) joint arrays into the world frame,
-and :func:`world_to_camera` takes a world point back into a camera's frame
-for projection. Every ``Skeleton3D`` is world-frame.
+and :func:`world_to_camera` takes (..., 3) world points back into a camera's
+frame for projection, which :func:`world_to_pixels` does in one step. Every
+``Skeleton3D`` is world-frame.
 """
 
 from __future__ import annotations
@@ -35,21 +39,17 @@ from .model import CameraModel
 DEFAULT_NEIGHBORHOOD_PX = 3.0
 
 
-class Pixel(NamedTuple):
-    x: float
-    y: float
-
-
-def project(point_cam: np.ndarray, cam: CameraModel) -> tuple[Pixel, float]:
-    """Project a camera-frame 3D point to a pixel and its depth.
+def project(points_cam: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """Project (..., 3) camera-frame points to (..., 2) pixels and their (...) depths.
 
     Raises:
-        BehindCameraError: if the point has Z <= 0.
+        BehindCameraError: if any point has Z <= 0.
     """
-    x, y, z = float(point_cam[0]), float(point_cam[1]), float(point_cam[2])
-    if z <= 0.0:
-        raise BehindCameraError(f"point has non-positive depth {z}")
-    return Pixel(cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy), z
+    p = np.asarray(points_cam, dtype=float)
+    z = p[..., 2]
+    if (z <= 0.0).any():
+        raise BehindCameraError(f"a point has non-positive depth {z.min()}")
+    return np.stack((cam.fx * p[..., 0] / z + cam.cx, cam.fy * p[..., 1] / z + cam.cy), axis=-1), z
 
 
 def back_project(
@@ -201,11 +201,25 @@ def to_world(joints: np.ndarray, valid: np.ndarray, cam: CameraModel) -> np.ndar
     return world
 
 
-def world_to_camera(point_world: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Express a world-frame point in ``cam``'s frame as ``R @ p + t``.
+def world_to_camera(points_world: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """Express (..., 3) world-frame points in ``cam``'s frame as ``R @ p + t``.
 
-    One point per call on purpose: a batched ``P @ R.T + t`` rounds some
-    coordinates differently, which would move the simulated stream's bytes.
+    Each point is its own matrix-vector product, which rounds as one point
+    alone does; ``P @ R.T`` would round some coordinates differently.
     """
     m = cam.camera_from_world
-    return m[:3, :3] @ np.asarray(point_world, dtype=float) + m[:3, 3]
+    return (m[:3, :3] @ np.asarray(points_world, dtype=float)[..., None])[..., 0] + m[:3, 3]
+
+
+def world_to_pixels(points_world: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 2) pixels of (..., 3) world points in ``cam`` and their (...) depths.
+
+    :func:`world_to_camera`, then :func:`project` of the points in front of
+    the camera; any other point gets a NaN pixel instead of an error.
+    """
+    p_cam = world_to_camera(points_world, cam)
+    z = p_cam[..., 2]
+    front = z > 0.0
+    pixels = np.full(z.shape + (2,), np.nan)
+    pixels[front] = project(p_cam[front], cam)[0]
+    return pixels, z

@@ -10,7 +10,8 @@
   track is ``{"track_id", "joints"}``, each joint record with a ``cov_trace``.
 
 Writers never emit NaN or Infinity; readers turn a malformed record into a
-ConfigError naming the file and the line or camera entry.
+ConfigError naming the file and the line or camera entry, and a file that
+cannot be opened or is not UTF-8 into a ConfigError naming the file.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import JSON_NUMBER, CameraModel, DetectionSet, Skeleton3D
+from .errors import ConfigError, reading
+from .model import CameraModel, DetectionSet, Skeleton3D, as_number, as_numbers
 from .simulate import GroundTruth
 from .tracker import FusedSnapshot, TrackEvent
 
@@ -50,19 +51,16 @@ def write_detections(path, detections: Iterable[DetectionSet]) -> None:
 
 def read_detections(path) -> list[DetectionSet]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 d = json.loads(line)
-                stamp = d["stamp"]
-                if type(stamp) not in JSON_NUMBER:
-                    raise ConfigError(f"stamp must be a number, got {stamp!r}")
                 out.append(DetectionSet(
                     camera_id=str(d["camera_id"]),
-                    stamp=float(stamp),
+                    stamp=as_number(d["stamp"]),
                     skeletons=Skeleton3D.from_dicts(d["skeletons"]),
                 ))
             except _RECORD_ERRORS as exc:
@@ -84,7 +82,7 @@ def write_calibration(path, cameras: Iterable[CameraModel]) -> None:
 
 
 def read_calibration(path) -> dict[str, CameraModel]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -94,10 +92,9 @@ def read_calibration(path) -> dict[str, CameraModel]:
     cams = {}
     for n, entry in enumerate(doc["cameras"]):
         try:
-            cam = CameraModel(
-                str(entry["id"]), float(entry["fx"]), float(entry["fy"]),
-                float(entry["cx"]), float(entry["cy"]), entry.get("extrinsic", np.eye(4)),
-            )
+            fx, fy, cx, cy = (as_number(entry[key]) for key in ("fx", "fy", "cx", "cy"))
+            extrinsic = as_numbers(entry["extrinsic"]) if "extrinsic" in entry else np.eye(4)
+            cam = CameraModel(str(entry["id"]), fx, fy, cx, cy, extrinsic)
         except _RECORD_ERRORS as exc:
             raise ConfigError(f"{path}: camera entry {n}: {exc}") from exc
         if cam.camera_id in cams:

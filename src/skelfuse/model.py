@@ -33,6 +33,21 @@ Timestamp = float
 # bool is not one.
 JSON_NUMBER = (float, int)
 
+
+def as_number(value) -> float:
+    """A JSON number as a float; a bool, a string or any other value raises TypeError."""
+    if type(value) not in JSON_NUMBER:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def as_numbers(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; any other leaf raises TypeError."""
+    if isinstance(value, (list, tuple)):
+        return np.array([as_numbers(v) for v in value], dtype=float)
+    return np.array(as_number(value))
+
+
 JOINT_COUNT = 15
 
 JOINT_NAMES = (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .lifting import make_detection_set
 from .model import (
     CHEST,
@@ -43,6 +43,8 @@ from .model import (
     CameraModel,
     DetectionSet,
     Skeleton3D,
+    as_number,
+    as_numbers,
 )
 
 # Torso joint heights/offsets in body coordinates (lateral-left, forward, up),
@@ -324,30 +326,23 @@ def render_detection(
     Persons never contaminate each other's depth — occlusion between persons
     is out of scope here, dropout probability stands in for it.
 
-    The frame is rendered with persons and joints as array axes: every
-    joint is projected, and every disk splatted, in one broadcast. The
-    random draws keep a person-by-person order: pixel noise, joint dropout,
-    then depth noise for the finite pixels of the person's window in
-    row-major order. Their counts depend on geometry only, so the splat
-    comes first.
+    The frame is rendered with persons and joints as array axes: one
+    ``geometry.world_to_pixels`` call projects every person's true joints,
+    and one broadcast splats every disk. The random draws keep a
+    person-by-person order: pixel noise, joint dropout, then depth noise for
+    the finite pixels of the person's window in row-major order. Their
+    counts depend on geometry only, so the splat comes first.
     """
     if rng.random() < spec.detection_dropout:
         return None
     cam = spec.camera
     w, h = spec.width, spec.height
     n_persons = len(gt.person_ids)
-    # One point per world_to_camera call: see there.
-    p_cam = np.array([
-        geometry.world_to_camera(joint, cam)
-        for person_id in gt.person_ids for joint in gt.truth_at(person_id, t).joints
-    ]).reshape(n_persons, JOINT_COUNT, 3)
-    z = p_cam[..., 2]
-    front = z > 0.0
-    z_front = np.where(front, z, 1.0)
-    # geometry.project's expressions, element by element, so the same bits.
-    px = cam.fx * p_cam[..., 0] / z_front + cam.cx
-    py = cam.fy * p_cam[..., 1] / z_front + cam.cy
-    seen = front & (0.0 <= px) & (px < w) & (0.0 <= py) & (py < h)
+    truth = np.array([gt.truth_at(pid, t).joints for pid in gt.person_ids])
+    true_px, z = geometry.world_to_pixels(truth.reshape(n_persons, JOINT_COUNT, 3), cam)
+    px, py = true_px[..., 0], true_px[..., 1]
+    # A joint behind the camera has a NaN pixel, so it is never seen.
+    seen = (0.0 <= px) & (px < w) & (0.0 <= py) & (py < h)
     depth, owned, filled, windows = _splat(
         px[seen], py[seen], z[seen], np.nonzero(seen)[0], n_persons, spec)
 
@@ -427,12 +422,14 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _point(value) -> np.ndarray:
-    p = _array(value)
+    p = as_numbers(value)
     if p.shape != (3,):
         raise ValueError(f"expected [x, y, z], got shape {p.shape}")
     return p
@@ -440,23 +437,24 @@ def _point(value) -> np.ndarray:
 
 def _pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return as_number(lo), as_number(hi)
 
 
 # Key -> converter for every key a scenario entry may hold. Only the keys
-# present are passed on, so an optional key's default lives on its spec.
+# present are passed on, so an optional key's default lives on its spec. A
+# number is a JSON number, never a bool or a string; an int key takes an int.
 _PERSON_KEYS = {
-    "waypoints": _array, "heading_deg": float, "swing_amplitude": float,
-    "swing_hz": float, "swing_phase": float,
+    "waypoints": as_numbers, "heading_deg": as_number, "swing_amplitude": as_number,
+    "swing_hz": as_number, "swing_phase": as_number,
 }
-_POSE_KEYS = {"extrinsic": _array, "position": _point, "look_at": _point, "up": _point}
-_INTRINSIC_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float}
+_POSE_KEYS = {"extrinsic": as_numbers, "position": _point, "look_at": _point, "up": _point}
+_INTRINSIC_KEYS = {"fx": as_number, "fy": as_number, "cx": as_number, "cy": as_number}
 _CAMERA_KEYS = {
-    "width": int, "height": int, "frame_rate": float, "latency_jitter": _pair,
-    "pixel_sigma": float, "depth_sigma": float, "joint_dropout": float,
-    "detection_dropout": float, "splat_radius": float,
+    "width": _int, "height": _int, "frame_rate": as_number, "latency_jitter": _pair,
+    "pixel_sigma": as_number, "depth_sigma": as_number, "joint_dropout": as_number,
+    "detection_dropout": as_number, "splat_radius": as_number,
 }
-_SCENARIO_KEYS = {"seed": int, "duration": float}
+_SCENARIO_KEYS = {"seed": _int, "duration": as_number}
 
 
 def _convert(d: dict, table: dict, where: str) -> dict:
@@ -526,7 +524,7 @@ def load_scenario(path, seed_override: int | None = None) -> ScenarioConfig:
     """Parse a YAML scenario file, with libyaml where PyYAML has it; see the README for the schema."""
     import yaml
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path), open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:

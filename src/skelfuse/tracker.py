@@ -77,6 +77,8 @@ class TrackerConfig:
             raise ConfigError("gating_eps must be positive")
         if not self.max_track_age > 0:
             raise ConfigError("max_track_age must be positive")
+        if self.min_hits_to_confirm < 0:
+            raise ConfigError("min_hits_to_confirm must be non-negative")
         if not self.stale_tolerance >= 0:
             raise ConfigError("stale_tolerance must be non-negative")
 

@@ -63,10 +63,10 @@ def render_detection(gt, spec, t, rng):
             if p_cam[2] <= 0.0:
                 continue
             px, d = geometry.project(p_cam, cam)
-            if not (0.0 <= px.x < w and 0.0 <= px.y < h):
+            if not (0.0 <= px[0] < w and 0.0 <= px[1] < h):
                 continue
-            _splat_disk(depth, best_d2, px.x, px.y, d, spec.splat_radius)
-            nx, ny = px.x + noise[j, 0], px.y + noise[j, 1]
+            _splat_disk(depth, best_d2, px[0], px[1], d, spec.splat_radius)
+            nx, ny = px[0] + noise[j, 0], px[1] + noise[j, 1]
             if not (0.0 <= nx < w and 0.0 <= ny < h):
                 continue
             if drops[j] < spec.joint_dropout:

@@ -119,7 +119,7 @@ def test_criterion_3_geometry_roundtrips():
                 if not s3d.valid[j]:
                     continue
                 px, _ = project(world_to_camera(s3d.joints[j], spec.camera), spec.camera)
-                err = math.hypot(px.x - px2d[j, 0], px.y - px2d[j, 1])
+                err = math.hypot(px[0] - px2d[j, 0], px[1] - px2d[j, 1])
                 worst_px = max(worst_px, err)
                 checked += 1
     assert checked > 100

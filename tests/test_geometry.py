@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from skelfuse.errors import BehindCameraError, InvalidDepthError
-from skelfuse.geometry import DepthWindow, back_project, median_depth, project, to_world
+from skelfuse.geometry import (
+    DepthWindow, back_project, median_depth, project, to_world, world_to_camera, world_to_pixels,
+)
 from skelfuse.model import JOINT_COUNT
+from skelfuse.simulate import bundled_scenario_path, load_scenario, look_at_extrinsic
 
 from conftest import full_window, make_camera, sparse_skeleton
 
@@ -17,14 +20,14 @@ from conftest import full_window, make_camera, sparse_skeleton
 def test_project_principal_point():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
     px, d = project(np.array([0.0, 0.0, 2.0]), cam)
-    assert (px.x, px.y) == (320.0, 240.0)
+    assert (px[0], px[1]) == (320.0, 240.0)
     assert d == 2.0
 
 
 def test_project_offset_point():
     cam = make_camera(fx=500, fy=500, cx=320, cy=240)
     px, d = project(np.array([1.0, 0.0, 2.0]), cam)
-    assert (px.x, px.y) == (570.0, 240.0)
+    assert (px[0], px[1]) == (570.0, 240.0)
     assert d == 2.0
 
 
@@ -32,8 +35,8 @@ def test_project_scalar_oracle():
     # Independently hand-evaluated: x = 365*0.3/1.7 + 256, y = 366*(-0.2)/1.7 + 212
     cam = make_camera(fx=365, fy=366, cx=256, cy=212)
     px, d = project(np.array([0.3, -0.2, 1.7]), cam)
-    assert px.x == pytest.approx(320.4117647058824, abs=1e-12)
-    assert px.y == pytest.approx(168.94117647058823, abs=1e-12)
+    assert px[0] == pytest.approx(320.4117647058824, abs=1e-12)
+    assert px[1] == pytest.approx(168.94117647058823, abs=1e-12)
     assert d == 1.7
 
 
@@ -43,6 +46,62 @@ def test_project_behind_camera():
         project(np.array([0.0, 0.0, -1.0]), cam)
     with pytest.raises(BehindCameraError):
         project(np.array([0.0, 0.0, 0.0]), cam)
+
+
+# --- stacks of points ---------------------------------------------------------
+
+def _stack_cameras(rng):
+    """Every bundled scenario's cameras, then eight seeded random look-at cameras."""
+    cams = [spec.camera for name in ("four_kinect_walk", "three_person", "three_person_jitter")
+            for spec in load_scenario(bundled_scenario_path(name)).cameras]
+    for i in range(8):
+        fx, fy = rng.uniform(300.0, 900.0, 2)
+        cx, cy = rng.uniform(100.0, 400.0, 2)
+        extrinsic = look_at_extrinsic(rng.uniform(-6.0, 6.0, 3), rng.uniform(-1.0, 1.0, 3))
+        cams.append(make_camera(f"r{i}", fx, fy, cx, cy, extrinsic))
+    return cams
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_camera_model_on_a_stack_equals_point_by_point(seed):
+    # The stack form must round exactly as one point at a time, which is
+    # R @ p + t as one matrix-vector product and the scalar pinhole formula.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    world = rng.uniform(-5.0, 5.0, (n, JOINT_COUNT, 3))
+    in_front = rng.uniform([-3.0, -3.0, 0.2], [3.0, 3.0, 8.0], (n, JOINT_COUNT, 3))
+    for cam in _stack_cameras(rng):
+        r, t = cam.camera_from_world[:3, :3], cam.camera_from_world[:3, 3]
+        p_cam = world_to_camera(world, cam)
+        assert p_cam.shape == world.shape
+        assert np.array_equal(p_cam, [[world_to_camera(p, cam) for p in row] for row in world])
+        assert np.array_equal(p_cam, [[r @ p + t for p in row] for row in world])
+        front = p_cam[..., 2] > 0.0
+        pixels, depths = world_to_pixels(world, cam)
+        assert np.array_equal(depths, p_cam[..., 2]) and np.isnan(pixels[~front]).all()
+        assert np.array_equal(pixels[front], project(p_cam[front], cam)[0])
+        for stack in (in_front, p_cam[front]):
+            pixels, depths = project(stack, cam)
+            assert pixels.shape == stack.shape[:-1] + (2,) and depths.shape == stack.shape[:-1]
+            points = stack.reshape(-1, 3)
+            one = [project(p, cam) for p in points]
+            assert np.array_equal(pixels.reshape(-1, 2), [px for px, _ in one])
+            assert np.array_equal(depths.ravel(), [d for _, d in one])
+            assert np.array_equal(pixels.reshape(-1, 2), [
+                (cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy) for x, y, z in points.tolist()])
+
+
+@pytest.mark.parametrize("z", [0.0, -1e-9, -2.0])
+def test_project_stack_with_one_point_behind_raises(z):
+    rng = np.random.default_rng(5)
+    cam = make_camera()
+    stack = rng.uniform([-3.0, -3.0, 0.2], [3.0, 3.0, 8.0], (4, JOINT_COUNT, 3))
+    project(stack, cam)
+    for _ in range(10):
+        bad = stack.copy()
+        bad[tuple(rng.integers(0, bad.shape[:2]))][2] = z
+        with pytest.raises(BehindCameraError):
+            project(bad, cam)
 
 
 # --- back_project ------------------------------------------------------------

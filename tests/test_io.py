@@ -115,6 +115,9 @@ CALIBRATION_CASES = {
     "NaN translation": (("cameras", 0, "extrinsic", 3), math.nan),
     "NaN rotation entry": (("cameras", 0, "extrinsic", 0), math.nan),
     "camera entry not a mapping": (("cameras", 0), 5),
+    "fx as text": (("cameras", 0, "fx"), "525"),
+    "fx true": (("cameras", 0, "fx"), True),
+    "extrinsic entry true": (("cameras", 0, "extrinsic", 0), True),
 }
 
 
@@ -155,6 +158,7 @@ def test_long_stamp_gap_tracks(gap, tmp_path):
     ["--meas-sigma", "1e200"],
     ["--meas-sigma", "1e-200"],
     ["--accel-sigma", "1e-200"],
+    ["--min-hits", "-1"],
 ])
 def test_bad_track_flag_exits_2(flags, tmp_path):
     assert _track(tmp_path, *_valid_inputs(), *flags) == 2
@@ -216,6 +220,10 @@ SCENARIO_CASES = {
     "position of two numbers": (("cameras", 0, "position"), [3.5, 3.5]),
     "splat_radius squared overflows": (("cameras", 0, "splat_radius"), 1e200),
     "seed negative": (("seed",), -1),
+    "seed 2.7": (("seed",), 2.7),
+    "width true": (("cameras", 0, "width"), True),
+    "frame_rate as text": (("cameras", 0, "frame_rate"), "30"),
+    "duration true": (("duration",), True),
 }
 
 
@@ -231,6 +239,61 @@ def test_valid_scenario_file_simulates(tmp_path):
     # The regression scenario is valid before it is broken.
     assert main(["simulate", "--scenario", str(_scenario_file(tmp_path)),
                  "--out", str(tmp_path / "sim")]) == 0
+
+
+def test_integer_numbers_load(tmp_path):
+    # A JSON or YAML int is a number: only bools and strings are refused.
+    stream, calib = _valid_inputs()
+    calib["cameras"][0]["fx"] = 525
+    calib["cameras"][0]["extrinsic"] = np.eye(4, dtype=int).ravel().tolist()
+    assert _track(tmp_path, stream, calib) == 0
+    ints = ((("duration",), 1), (("cameras", 0, "fx"), 525), (("cameras", 0, "frame_rate"), 5),
+            (("cameras", 0, "position"), [3, 3, 2]))
+    assert main(["simulate", "--scenario", str(_scenario_file(tmp_path, *ints)),
+                 "--out", str(tmp_path / "sim")]) == 0
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+# (command, file, damage): each makes one file of a valid run unreadable.
+FILE_CASES = [
+    ("track", "stream", "missing"),
+    ("track", "calib", "missing"),
+    ("track", "stream", "not UTF-8"),
+    ("track", "calib", "not UTF-8"),
+    ("track", "out", "an existing file"),
+    ("simulate", "scenario", "a directory"),
+    ("simulate", "scenario", "not UTF-8"),
+    ("simulate", "out", "an existing file"),
+]
+
+
+@pytest.mark.parametrize("command, name, damage", FILE_CASES,
+                         ids=[" ".join(case) for case in FILE_CASES])
+def test_unreadable_file_exits_2_naming_it(command, name, damage, tmp_path, capsys):
+    stream, calib = _valid_inputs()
+    files = {"stream": tmp_path / "stream.jsonl", "calib": tmp_path / "calibration.json",
+             "scenario": _scenario_file(tmp_path), "out": tmp_path / "out"}
+    files["stream"].write_text("".join(json.dumps(r) + "\n" for r in stream))
+    files["calib"].write_text(json.dumps(calib))
+    path = files[name]
+    if damage == "missing":
+        path.unlink()
+    elif damage == "not UTF-8":
+        path.write_bytes(NOT_UTF8 + path.read_bytes())
+    elif damage == "a directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text("")
+    if command == "track":
+        argv = ["track", "--stream", str(files["stream"]), "--calib", str(files["calib"])]
+    else:
+        argv = ["simulate", "--scenario", str(files["scenario"])]
+    assert main([*argv, "--out", str(files["out"])]) == 2
+    assert not files["out"].is_dir()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
 def test_broken_yaml_scenario_exits_2_naming_its_line(tmp_path, capsys):

@@ -84,8 +84,8 @@ def test_lift_project_roundtrip_on_rendered_skeletons():
                     continue
                 p_cam = world_to_camera(s3d.joints[j], spec.camera)
                 px, depth = project(p_cam, spec.camera)
-                assert abs(px.x - px2d[j, 0]) < 0.5
-                assert abs(px.y - px2d[j, 1]) < 0.5
+                assert abs(px[0] - px2d[j, 0]) < 0.5
+                assert abs(px[1] - px2d[j, 1]) < 0.5
                 assert p_cam[2] == depth
                 checked += 1
     assert checked > 20

@@ -160,8 +160,8 @@ def test_render_pixel_noise_statistics():
                 continue
             p_cam = world_to_camera(truth.joints[j], spec.camera)
             px, _ = project(p_cam, spec.camera)
-            deltas.append(pixels[0, j, 0] - px.x)
-            deltas.append(pixels[0, j, 1] - px.y)
+            deltas.append(pixels[0, j, 0] - px[0])
+            deltas.append(pixels[0, j, 1] - px[1])
     std = float(np.std(deltas))
     assert abs(std - 2.5) / 2.5 < 0.05
 
