@@ -13,6 +13,14 @@ detection set, the detection nearest the person's true chest at the set's
 capture stamp, so a set with one detection feeds it to every person's
 window. A report cell with no sample reads ``nan`` in the CSV and ``-`` in
 the table.
+
+Each camera configuration keeps one ``MovingAverage`` for all persons: a
+``(persons, 15, size, 3)`` array of windows, each right-aligned after zeros,
+``size`` the largest k or the number of sets if fewer (a joint gains at most
+one observation per set). A push shifts only the windows of the joints it
+observes. A joint's MAF_k estimate sums its window's last k slots in order,
+leading zeros included, over its number of observations, at most k: the
+bits of ``np.mean`` over those observations, NaN if it has none.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from . import association, geometry
 from .errors import ConfigError
 from .model import CHEST, JOINT_COUNT, LIMB_JOINTS, CameraModel, joint_name
-from .simulate import ScenarioConfig, run_scenario
+from .simulate import GroundTruth, ScenarioConfig, run_scenario
 from .tracker import PoseTracker
 
 OVERFLOW_FLAG_PX = 100.0  # cells above this are flagged in the text table
@@ -49,40 +57,28 @@ def reprojection_error(
 
 
 class MovingAverage:
-    """The MAF baseline's state: per joint, a window of the last ``size`` valid observations.
+    """The MAF baseline's state: every person's joints' last ``size`` valid observations.
 
-    ``mean(j, k)`` is the arithmetic mean of joint ``j``'s last ``k`` valid
-    observations (fewer while the window fills). Missing observations are
-    skipped, never zero-filled, and a joint never observed has no mean.
-
-    Each joint's observations are rows of one contiguous (2 * size, 3)
-    buffer, appended in order and moved back to its start, keeping the last
-    ``size``, when it is full; a mean reads its rows in place.
+    Missing observations are skipped, never zero-filled; see the module
+    docstring for the window's layout.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, persons: int):
         self._size = size
-        self._rows = np.empty((JOINT_COUNT, 2 * size, 3))
-        self._count = [0] * JOINT_COUNT
+        self._window = np.zeros((persons, JOINT_COUNT, size, 3))
+        self._count = np.zeros((persons, JOINT_COUNT), dtype=int)
 
     def push(self, joints: np.ndarray, valid: np.ndarray) -> None:
-        """Append every valid joint of one skeleton row; missing joints are skipped."""
-        if not self._size:
-            return
-        for j in np.flatnonzero(valid).tolist():
-            rows, n = self._rows[j], self._count[j]
-            if n == len(rows):
-                rows[:self._size] = rows[n - self._size:]
-                n = self._size
-            rows[n] = joints[j]
-            self._count[j] = n + 1
+        """Append every valid joint of ``joints (P, 15, 3)``; ``valid (P, 15)`` skips the rest."""
+        w = self._window[valid]
+        self._window[valid] = np.concatenate((w, joints[valid][:, None]), axis=1)[:, 1:]
+        self._count += valid
 
-    def mean(self, j: int, k: int) -> np.ndarray | None:
-        """Mean of joint ``j``'s last ``k`` observations, None if never observed."""
-        n = self._count[j]
-        if not n:
-            return None
-        return np.mean(self._rows[j, max(0, n - min(k, self._size)):n], axis=0)
+    def means(self, k: int) -> np.ndarray:
+        """``(P, 15, 3)`` means of every joint's last ``k`` observations, NaN if never observed."""
+        k = min(k, self._size)
+        n = np.where(self._count > 0, np.minimum(self._count, k), np.nan)
+        return self._window[..., self._size - k:, :].sum(axis=-2) / n[..., None]
 
 
 @dataclass(frozen=True)
@@ -152,14 +148,16 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _nearest_row(centroids: np.ndarray, point: np.ndarray) -> int | None:
-    """Oracle association: the first row whose centroid is nearest to ``point``; never a NaN."""
-    best, best_d = None, math.inf
-    for row, c in enumerate(centroids):
-        d = float(np.linalg.norm(c - point))
-        if d < best_d:
-            best, best_d = row, d
-    return best
+def _nearest_rows(centroids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Oracle association: for each of ``points (P, 3)``, the first row of
+    ``centroids (R, 3)`` nearest to it, never a NaN; -1 where no row lies at
+    a finite distance."""
+    if not len(centroids):
+        return np.full(len(points), -1)
+    d = np.linalg.norm(centroids - points[:, None], axis=-1)
+    d[np.isnan(d)] = np.inf
+    rows = np.argmin(d, axis=1)
+    return np.where(np.isinf(d.min(axis=1)), -1, rows)
 
 
 def evaluate(
@@ -176,16 +174,17 @@ def evaluate(
     tracker ("ours") and the per-person MAF windows of every subset that
     holds its camera. All subsets are sampled at the reference camera's
     frame times from ``WARMUP_S`` on. The truth pixel is the simulator pose
-    projected into the reference camera. Each sample projects every
-    person's truth, and every estimate of every (subset, method, person,
-    joint), in one ``geometry.world_to_pixels`` call each; a missing
-    estimate is a NaN row and is skipped. Samples where truth or an estimate
-    falls behind the reference camera are excluded and counted. Statistics
-    pool all seeds, each cell's errors in sample, then person order. A
-    report row is labelled by its camera count and method, so a subset that
-    names a camera twice, two subsets of one size, or a repeated window size
-    raise ConfigError, and so does a scenario with no sample time or no
-    person to score.
+    projected into the reference camera: one ``GroundTruth.poses`` and one
+    ``geometry.world_to_pixels`` call for all seeds. One ``poses`` call per
+    set gives every person's chest at its stamp. Each sample projects every
+    (subset, method, person, joint) estimate in one ``world_to_pixels``
+    call; a missing one is NaN and is skipped. Samples where truth or an
+    estimate falls behind the reference camera are excluded and counted.
+    Statistics pool all seeds, each cell's errors in sample, then person
+    order. A report row is labelled by its camera count and method, so a
+    subset that names a camera twice, two subsets of one size, or a repeated
+    window size raise ConfigError, and so does a scenario with no sample
+    time or no person to score.
     """
     camera_ids = [c.camera.camera_id for c in cfg.cameras]
     if camera_subsets is None:
@@ -230,16 +229,21 @@ def evaluate(
     methods = [f"MAF_{k}" for k in k_values] + ["ours"]
     joints = list(LIMB_JOINTS)
     cameras = [set(subset) for subset in camera_subsets]
+    gt = GroundTruth(cfg.persons, cfg.duration)
+    pids = gt.person_ids
+    truth = gt.poses(sample_times)
+    truth_px, truth_z = geometry.world_to_pixels(truth[:, :, joints], ref_cam)
     # Each (configuration, method, joint) cell's errors, by sample, then person.
     errors = [[[[] for _ in joints] for _ in methods] for _ in configs]
     excluded = np.zeros((len(configs), len(methods), len(joints)), dtype=int)
     for seed in seeds:
-        events, gt = run_scenario(replace(cfg, seed=int(seed)))
-        pids = gt.person_ids
+        events, _ = run_scenario(replace(cfg, seed=int(seed)))
         trackers = [PoseTracker() for _ in configs]
-        mafs = [{pid: MovingAverage(max(k_values, default=0)) for pid in pids} for _ in configs]
+        # A joint gains at most one observation per set.
+        size = min(max(k_values, default=0), len(events))
+        mafs = [MovingAverage(size, len(pids)) for _ in configs]
         ei = 0
-        for t_s in sample_times:
+        for s, t_s in enumerate(sample_times):
             while ei < len(events) and events[ei].arrival <= t_s:
                 dets = events[ei].detections
                 ei += 1
@@ -247,29 +251,26 @@ def evaluate(
                 for i in takers:
                     trackers[i].ingest(dets)
                 if k_values and takers and len(dets.skeletons):
-                    _feed_mafs(dets, gt, pids, [mafs[i] for i in takers])
+                    chests = gt.poses([dets.stamp])[0, :, CHEST]
+                    rows = _nearest_rows(association.centroid(dets.skeletons), chests)
+                    valid = dets.skeletons.valid[rows] & (rows >= 0)[:, None]
+                    for i in takers:
+                        mafs[i].push(dets.skeletons.joints[rows], valid)
 
-            truth = np.array([gt.truth_at(pid, t_s).joints for pid in pids])
             estimates = np.full((len(configs), len(methods), len(pids), len(joints), 3), np.nan)
-            for est, tracker, windows in zip(estimates, trackers, mafs):
+            for est, tracker, maf in zip(estimates, trackers, mafs):
+                for m, k in enumerate(k_values):
+                    est[m] = maf.means(k)[:, joints]
                 fused = tracker.snapshot(t_s).tracks
-                centroids = association.centroid(fused)
-                for p, pid in enumerate(pids):
-                    for m, k in enumerate(k_values):
-                        for i, j in enumerate(joints):
-                            mean = windows[pid].mean(j, k)
-                            if mean is not None:
-                                est[m, p, i] = mean
-                    row = _nearest_row(centroids, truth[p, CHEST])
-                    if row is not None:
-                        ok = fused.valid[row, joints]
-                        est[-1, p, ok] = fused.joints[row, joints][ok]
-            truth_px, truth_z = geometry.world_to_pixels(truth[:, joints], ref_cam)
+                rows = _nearest_rows(association.centroid(fused), truth[s, :, CHEST])
+                nearest = np.ix_(rows[rows >= 0], joints)
+                est[-1, rows >= 0] = np.where(fused.valid[nearest][..., None],
+                                              fused.joints[nearest], np.nan)
             est_px, est_z = geometry.world_to_pixels(estimates, ref_cam)
             present = ~np.isnan(estimates[..., 0])
-            scored = present & (est_z > 0.0) & (truth_z > 0.0)
-            excluded += np.count_nonzero((truth_z <= 0.0) | present & (est_z <= 0.0), axis=2)
-            offsets = (est_px - truth_px)[scored].tolist()
+            scored = present & (est_z > 0.0) & (truth_z[s] > 0.0)
+            excluded += np.count_nonzero((truth_z[s] <= 0.0) | present & (est_z <= 0.0), axis=2)
+            offsets = (est_px - truth_px[s])[scored].tolist()
             for c, m, _, i, (dx, dy) in zip(*(a.tolist() for a in np.nonzero(scored)), offsets):
                 errors[c][m][i].append(math.hypot(dx, dy))
 
@@ -281,16 +282,6 @@ def evaluate(
                 mean, std = (float(e.mean()), float(e.std())) if len(e) else (math.nan, math.nan)
                 cells[(config, method, j)] = ReportCell(mean, std, len(e), int(excluded[c, m, i]))
     return EvalReport(configs=configs, methods=methods, joints=joints, cells=cells)
-
-
-def _feed_mafs(dets, gt, pids, mafs) -> None:
-    """Push to each person's MAF in ``mafs`` the set's row nearest their true chest at its stamp."""
-    centroids = association.centroid(dets.skeletons)
-    for pid in pids:
-        row = _nearest_row(centroids, gt.truth_at(pid, dets.stamp).joints[CHEST])
-        if row is not None:
-            for windows in mafs:
-                windows[pid].push(dets.skeletons.joints[row], dets.skeletons.valid[row])
 
 
 def _default_subsets(camera_ids: list[str]) -> list[list[str]]:

@@ -105,12 +105,12 @@ def read_calibration(path) -> dict[str, CameraModel]:
 
 def write_truth(path, gt: GroundTruth) -> None:
     """Every person's true pose at ``TRUTH_SAMPLE_HZ`` over the scenario duration."""
-    n = int(gt.duration * TRUTH_SAMPLE_HZ)
+    times = np.arange(int(gt.duration * TRUTH_SAMPLE_HZ)) / TRUTH_SAMPLE_HZ
+    poses = gt.poses(times)
     write_jsonl(path, (
-        {"person_id": pid, "t": k / TRUTH_SAMPLE_HZ,
-         "joints": gt.truth_at(pid, k / TRUTH_SAMPLE_HZ).joints.tolist()}
-        for pid in gt.person_ids
-        for k in range(n)
+        {"person_id": pid, "t": t, "joints": poses[k, p].tolist()}
+        for p, pid in enumerate(gt.person_ids)
+        for k, t in enumerate(times.tolist())
     ))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,15 @@ _UPPER_ARM = 0.28
 _FOREARM = 0.26
 _THIGH = 0.42
 _SHIN = 0.43
+# Every joint's body coordinates with the limbs hanging straight down.
+_BODY = np.array([_TORSO.get(j, (0.0, 0.0, 0.0)) for j in range(JOINT_COUNT)])
+# Each limb's (root, middle, end) joints, its two bone lengths and its swing
+# sign: each leg swings in antiphase with the same-side arm.
+_LIMBS = np.array([(R_SHOULDER, R_ELBOW, R_WRIST), (L_SHOULDER, L_ELBOW, L_WRIST),
+                   (R_HIP, R_KNEE, R_ANKLE), (L_HIP, L_KNEE, L_ANKLE)])
+_BONES = np.array([(_UPPER_ARM, _FOREARM)] * 2 + [(_THIGH, _SHIN)] * 2)
+_SWING_SIGN = np.array([+1.0, -1.0, -1.0, +1.0])
+_UP = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_SPLAT_RADIUS_PX = 6.0
 
@@ -154,66 +164,51 @@ class GroundTruth:
     """Continuous-time world-frame truth poses for every simulated person."""
 
     def __init__(self, persons: tuple[PersonSpec, ...], duration: float):
-        self._persons = {p.person_id: p for p in persons}
+        self._index = {p.person_id: i for i, p in enumerate(persons)}
+        self._waypoints = [p.waypoints for p in persons]
+        self._amplitude = np.array([p.swing_amplitude for p in persons])
+        self._omega = np.array([2.0 * math.pi * p.swing_hz for p in persons])
+        self._phase = np.array([p.swing_phase for p in persons])
+        psi = [math.radians(p.heading_deg) for p in persons]
+        self._fwd = np.array([[math.cos(a), math.sin(a), 0.0] for a in psi]).reshape(-1, 1, 3)
+        self._left = np.array([[-math.sin(a), math.cos(a), 0.0] for a in psi]).reshape(-1, 1, 3)
         self.duration = duration
 
     @property
     def person_ids(self) -> list[str]:
-        return list(self._persons)
+        return list(self._index)
 
-    def truth_at(self, person_id: str, t: float) -> Skeleton3D:
-        """Evaluate one person's pose; deterministic, continuous in t.
+    def poses(self, times) -> np.ndarray:
+        """Every person's joints at the 1-D ``times``: ``(T, P, 15, 3)``, persons in id order.
 
         Raises:
-            KeyError: unknown person id.
-            ValueError: t outside [0, duration].
+            ValueError: a time outside [0, duration], or NaN.
         """
-        if person_id not in self._persons:
+        t = np.asarray(times, dtype=float)
+        outside = ~((0.0 <= t) & (t <= self.duration))
+        if outside.any():
+            raise ValueError(f"t={t[outside][0]} outside scenario duration [0, {self.duration}]")
+        anchor = np.zeros((len(t), len(self._waypoints), 1, 3))
+        for p, w in enumerate(self._waypoints):
+            anchor[:, p, 0, 0] = np.interp(t, w[:, 0], w[:, 1])
+            anchor[:, p, 0, 1] = np.interp(t, w[:, 0], w[:, 2])
+        theta = self._amplitude * np.sin(self._omega * t[:, None] + self._phase)
+        a = _SWING_SIGN * theta[..., None]
+        # Unit limb directions in the sagittal plane: straight down at 0 swing.
+        swing = np.stack((np.zeros_like(a), np.sin(a), -np.cos(a)), axis=-1)
+        local = np.broadcast_to(_BODY, anchor.shape[:2] + _BODY.shape).copy()
+        root, middle, end = _LIMBS.T
+        local[:, :, middle] = local[:, :, root] + _BONES[:, 0:1] * swing
+        local[:, :, end] = local[:, :, middle] + _BONES[:, 1:2] * swing
+        return (anchor + local[..., 0:1] * self._left + local[..., 1:2] * self._fwd
+                + local[..., 2:3] * _UP)
+
+    def truth_at(self, person_id: str, t: float) -> Skeleton3D:
+        """One person's row of ``poses([t])``; KeyError for an unknown person."""
+        if person_id not in self._index:
             raise KeyError(f"unknown person {person_id!r}")
-        if not 0.0 <= t <= self.duration:
-            raise ValueError(f"t={t} outside scenario duration [0, {self.duration}]")
-        return _pose_at(self._persons[person_id], t)
-
-
-def _pose_at(spec: PersonSpec, t: float) -> Skeleton3D:
-    w = spec.waypoints
-    anchor_x = float(np.interp(t, w[:, 0], w[:, 1]))
-    anchor_y = float(np.interp(t, w[:, 0], w[:, 2]))
-
-    theta = spec.swing_amplitude * math.sin(
-        2.0 * math.pi * spec.swing_hz * t + spec.swing_phase
-    )
-
-    local = np.zeros((JOINT_COUNT, 3))
-    for joint_id, offset in _TORSO.items():
-        local[joint_id] = offset
-
-    def swing(sign: float) -> np.ndarray:
-        # Unit limb direction in the sagittal plane: straight down at 0 swing.
-        a = sign * theta
-        return np.array([0.0, math.sin(a), -math.cos(a)])
-
-    local[R_ELBOW] = local[R_SHOULDER] + _UPPER_ARM * swing(+1)
-    local[R_WRIST] = local[R_ELBOW] + _FOREARM * swing(+1)
-    local[L_ELBOW] = local[L_SHOULDER] + _UPPER_ARM * swing(-1)
-    local[L_WRIST] = local[L_ELBOW] + _FOREARM * swing(-1)
-    # Each leg swings in antiphase with the same-side arm.
-    local[R_KNEE] = local[R_HIP] + _THIGH * swing(-1)
-    local[R_ANKLE] = local[R_KNEE] + _SHIN * swing(-1)
-    local[L_KNEE] = local[L_HIP] + _THIGH * swing(+1)
-    local[L_ANKLE] = local[L_KNEE] + _SHIN * swing(+1)
-
-    psi = math.radians(spec.heading_deg)
-    fwd = np.array([math.cos(psi), math.sin(psi), 0.0])
-    left = np.array([-math.sin(psi), math.cos(psi), 0.0])
-    up = np.array([0.0, 0.0, 1.0])
-    world = (
-        np.array([anchor_x, anchor_y, 0.0])
-        + local[:, 0:1] * left
-        + local[:, 1:2] * fwd
-        + local[:, 2:3] * up
-    )
-    return Skeleton3D(world, np.ones(JOINT_COUNT, dtype=bool))
+        pose = self.poses([t])[0, self._index[person_id]]
+        return Skeleton3D(pose, np.ones(JOINT_COUNT, dtype=bool))
 
 
 def look_at_extrinsic(position, look_at, up=(0.0, 0.0, 1.0)) -> np.ndarray:
@@ -327,8 +322,9 @@ def render_detection(
     is out of scope here, dropout probability stands in for it.
 
     The frame is rendered with persons and joints as array axes: one
-    ``geometry.world_to_pixels`` call projects every person's true joints,
-    and one broadcast splats every disk. The random draws keep a
+    ``GroundTruth.poses`` call gives every person's true joints, one
+    ``geometry.world_to_pixels`` call projects them, and one broadcast
+    splats every disk. The random draws keep a
     person-by-person order: pixel noise, joint dropout, then depth noise for
     the finite pixels of the person's window in row-major order. Their
     counts depend on geometry only, so the splat comes first.
@@ -338,8 +334,7 @@ def render_detection(
     cam = spec.camera
     w, h = spec.width, spec.height
     n_persons = len(gt.person_ids)
-    truth = np.array([gt.truth_at(pid, t).joints for pid in gt.person_ids])
-    true_px, z = geometry.world_to_pixels(truth.reshape(n_persons, JOINT_COUNT, 3), cam)
+    true_px, z = geometry.world_to_pixels(gt.poses([t])[0], cam)
     px, py = true_px[..., 0], true_px[..., 1]
     # A joint behind the camera has a NaN pixel, so it is never seen.
     seen = (0.0 <= px) & (px < w) & (0.0 <= py) & (py < h)
@@ -512,6 +507,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     )
 
 
+# A YAML 1.2 float, resolved after PyYAML's YAML 1.1 types and only on plain
+# scalars: YAML 1.1 wants a dot and a signed exponent, so ``1e1`` is a string.
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$")
+
+
 def bundled_scenario_path(name: str):
     """Filesystem path of a scenario shipped with the package, or None."""
     from importlib import resources
@@ -524,9 +524,11 @@ def load_scenario(path, seed_override: int | None = None) -> ScenarioConfig:
     """Parse a YAML scenario file, with libyaml where PyYAML has it; see the README for the schema."""
     import yaml
 
+    Loader = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789"))
     with reading(path), open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            raw = yaml.load(fh, Loader=Loader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             line = f" (line {mark.line + 1})" if mark is not None else ""

@@ -10,11 +10,12 @@ from skelfuse.evaluation import (
     EvalReport,
     MovingAverage,
     ReportCell,
+    _nearest_rows,
     evaluate,
     reprojection_error,
 )
 from skelfuse.model import JOINT_COUNT, LIMB_JOINTS
-from skelfuse.simulate import PersonSpec, look_at_extrinsic
+from skelfuse.simulate import PersonSpec, look_at_extrinsic, run_scenario
 from conftest import make_camera, sparse_skeleton, walking_scenario
 
 
@@ -68,13 +69,13 @@ def _maf_means(values, k, joint=0):
 
     Estimates are x coordinates, None while the joint was never observed.
     """
-    maf = MovingAverage(k)
+    maf = MovingAverage(k, 1)
     out = []
     for v in values:
         skel = sparse_skeleton({} if v is None else {joint: (v, 0.0, 0.0)})
-        maf.push(skel.joints, skel.valid)
-        est = maf.mean(joint, k)
-        out.append(None if est is None else est[0])
+        maf.push(skel.joints[None], skel.valid[None])
+        est = maf.means(k)[0, joint]
+        out.append(None if np.isnan(est).all() else est[0])
     return out
 
 
@@ -112,38 +113,118 @@ def test_maf_window_shorter_history_uses_what_exists():
 
 
 def test_maf_per_joint_independence():
-    maf = MovingAverage(2)
+    maf = MovingAverage(2, 1)
     for skel in (sparse_skeleton({0: (1.0, 0, 0), 5: (10.0, 0, 0)}),
                  sparse_skeleton({0: (3.0, 0, 0)})):
-        maf.push(skel.joints, skel.valid)
-    assert maf.mean(0, 2)[0] == pytest.approx(2.0)
-    assert maf.mean(5, 2)[0] == pytest.approx(10.0)
+        maf.push(skel.joints[None], skel.valid[None])
+    assert maf.means(2)[0, 0][0] == pytest.approx(2.0)
+    assert maf.means(2)[0, 5][0] == pytest.approx(10.0)
 
 
 def test_maf_means_equal_the_last_k_observations_bit_for_bit():
     # Many times the window's size, so the buffer moves its rows back often.
     rng = np.random.default_rng(8)
-    maf = MovingAverage(7)
+    maf = MovingAverage(7, 1)
     seen = [[] for _ in range(JOINT_COUNT)]
     for _ in range(60):
         joints = rng.normal(size=(JOINT_COUNT, 3)) * 10.0 ** rng.integers(-3, 4)
         valid = rng.random(JOINT_COUNT) < 0.7
-        maf.push(joints, valid)
+        maf.push(joints[None], valid[None])
         for j in np.flatnonzero(valid):
             seen[j].append(joints[j])
         for j in range(JOINT_COUNT):
             for k in (1, 3, 7):
-                got = maf.mean(j, k)
+                got = maf.means(k)[0, j]
                 if not seen[j]:
-                    assert got is None
+                    assert np.isnan(got).all()
                 else:
                     assert got.tobytes() == np.mean(seen[j][-k:], axis=0).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_maf_means_over_persons_equal_the_last_k_observations_bit_for_bit(size):
+    # Several persons, each joint observed on its own schedule, over many
+    # times the window's size; a k above the size reads the whole window.
+    rng = np.random.default_rng(size)
+    persons = 4
+    maf = MovingAverage(size, persons)
+    seen = [[[] for _ in range(JOINT_COUNT)] for _ in range(persons)]
+    k_values = sorted({1, 3, size, size + 5})
+    for _ in range(3 * size + 20):
+        joints = rng.normal(size=(persons, JOINT_COUNT, 3)) * 10.0 ** rng.integers(-3, 4)
+        valid = rng.random((persons, JOINT_COUNT)) < rng.random()
+        maf.push(joints, valid)
+        for p, j in zip(*np.nonzero(valid)):
+            seen[p][j].append(joints[p, j])
+        for k in k_values:
+            got = maf.means(k)
+            for p in range(persons):
+                for j in range(JOINT_COUNT):
+                    if not seen[p][j]:
+                        assert np.isnan(got[p, j]).all()
+                    else:
+                        last = seen[p][j][-min(k, size):]
+                        assert got[p, j].tobytes() == np.mean(last, axis=0).tobytes()
+
+
+def test_maf_window_is_sized_by_the_stream_not_by_k():
+    # A window of 10**13 slots would need petabytes; it holds one slot per
+    # set, since a joint gains at most one observation per set.
+    cfg = walking_scenario(duration=1.5, n_cameras=1, pixel_sigma=1.0)
+    n_sets = len(run_scenario(cfg)[0])
+    huge = evaluate(cfg, k_values=(10**13,))
+    whole = evaluate(cfg, k_values=(n_sets,))
+    for (config, method, j), cell in whole.cells.items():
+        if method.startswith("MAF_"):
+            method = f"MAF_{10**13}"
+        assert huge.cells[(config, method, j)] == cell
+    assert any(c.n_samples for (_, m, _), c in huge.cells.items() if m.startswith("MAF_"))
 
 
 def test_maf_rejects_bad_window():
     cfg = walking_scenario(duration=1.5, n_cameras=1)
     with pytest.raises(ConfigError, match="MAF window sizes must be >= 1"):
         evaluate(cfg, k_values=(0,))
+
+
+# --- oracle association ---------------------------------------------------------
+
+def _nearest_row(centroids, point):
+    """The per-point loop ``_nearest_rows`` replaced: first nearest row, never NaN, or None."""
+    best, best_d = None, np.inf
+    for row, c in enumerate(centroids):
+        d = float(np.linalg.norm(c - point))
+        if d < best_d:
+            best, best_d = row, d
+    return best
+
+
+def test_nearest_rows_equal_the_per_point_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n_rows = int(rng.integers(0, 7))
+        centroids = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-2, 3)
+        if n_rows > 1 and trial % 3 == 0:  # exact duplicates: the lower row wins
+            centroids[rng.integers(1, n_rows)] = centroids[0]
+        if n_rows and trial % 4 == 0:  # NaN rows are never chosen
+            centroids[rng.random(n_rows) < 0.4] = np.nan
+        points = rng.normal(size=(int(rng.integers(0, 5)), 3))
+        if n_rows and trial % 5 == 0:
+            points[:1] = centroids[:1]
+        got = _nearest_rows(centroids, points)
+        assert got.shape == (len(points),)
+        want = [_nearest_row(centroids, q) for q in points]
+        assert got.tolist() == [-1 if w is None else w for w in want]
+
+
+def test_nearest_rows_ties_nan_and_empty():
+    centroids = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0]])
+    points = np.zeros((2, 3))
+    assert _nearest_rows(centroids, points).tolist() == [1, 1]
+    assert _nearest_rows(np.full((3, 3), np.nan), points).tolist() == [-1, -1]
+    assert _nearest_rows(np.zeros((0, 3)), points).tolist() == [-1, -1]
+    assert _nearest_rows(centroids, np.zeros((0, 3))).shape == (0,)
 
 
 # --- evaluate -------------------------------------------------------------------

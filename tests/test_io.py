@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from skelfuse import io
 from skelfuse.cli import main
 from skelfuse.model import JOINT_COUNT, DetectionSet, Skeleton3D
+from skelfuse.simulate import load_scenario
 
 from conftest import make_camera
 
@@ -251,6 +252,34 @@ def test_integer_numbers_load(tmp_path):
             (("cameras", 0, "position"), [3, 3, 2]))
     assert main(["simulate", "--scenario", str(_scenario_file(tmp_path, *ints)),
                  "--out", str(tmp_path / "sim")]) == 0
+
+
+def _raw_scenario_file(tmp_path, duration: str, splat_radius: str) -> Path:
+    """The regression scenario with ``duration`` and c0's ``splat_radius`` written as raw YAML."""
+    p = _scenario_file(tmp_path, (("duration",), "@duration@"),
+                       (("cameras", 0, "splat_radius"), "@splat_radius@"))
+    text = p.read_text(encoding="utf-8")
+    text = text.replace("'@duration@'", duration).replace("'@splat_radius@'", splat_radius)
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("duration, splat_radius",
+                         [("1e1", "5e-1"), ("1E+1", "5E-01"), ("+1.e1", ".5e1"), ("2", "6.0")])
+def test_exponent_floats_load(duration, splat_radius, tmp_path):
+    # YAML 1.2 floats; PyYAML's YAML 1.1 resolver alone reads the first three rows as strings.
+    p = _raw_scenario_file(tmp_path, duration, splat_radius)
+    cfg = load_scenario(p)
+    assert cfg.duration == float(duration)
+    assert cfg.cameras[0].splat_radius == float(splat_radius)
+    assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "sim")]) == 0
+
+
+@pytest.mark.parametrize("duration", ['"1e1"', "'1e1'", "1e1s", "e1", "1e", "1e1.5"])
+def test_quoted_or_malformed_exponent_exits_2(duration, tmp_path, capsys):
+    p = _raw_scenario_file(tmp_path, duration, "5e-1")
+    assert main(["simulate", "--scenario", str(p), "--out", str(tmp_path / "sim")]) == 2
+    assert "bad 'duration' value" in capsys.readouterr().err
 
 
 NOT_UTF8 = b"\xff\xfe"

@@ -1,5 +1,7 @@
 """Tests for the deterministic camera-network simulator."""
 
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -24,6 +26,7 @@ from conftest import (
     GROUP_SCENARIO, border_crossing, make_camera_spec, paste_window, walking_scenario,
 )
 from reference import render as ref_render
+from reference import truth as ref_truth
 
 
 BONES = [
@@ -71,6 +74,56 @@ def test_truth_unknown_person_and_time_bounds():
         gt.truth_at("p", -0.1)
     with pytest.raises(ValueError):
         gt.truth_at("p", 2.1)
+    for times in ([-0.1], [0.0, 2.1], [1.0, float("nan")]):
+        with pytest.raises(ValueError):
+            gt.poses(times)
+    assert gt.poses([0.0, 2.0]).shape == (2, 1, JOINT_COUNT, 3)
+
+
+def _assert_poses_equal_the_reference(persons, times):
+    gt = GroundTruth(tuple(persons), max(times, default=0.0))
+    got = gt.poses(times)
+    assert got.shape == (len(times), len(persons), JOINT_COUNT, 3)
+    want = np.array([[ref_truth._pose_at(p, t).joints for p in persons] for t in times])
+    assert np.array_equal(got, want.reshape(got.shape))
+    for p in persons:  # the platform's libm: np.sin/np.cos round as math.sin/math.cos
+        args = np.array([2.0 * math.pi * p.swing_hz * t + p.swing_phase for t in times])
+        theta = p.swing_amplitude * np.sin(args)
+        assert np.sin(args).tolist() == [math.sin(a) for a in args.tolist()]
+        for a in (theta, -theta):
+            assert np.sin(a).tolist() == [math.sin(x) for x in a.tolist()]
+            assert np.cos(a).tolist() == [math.cos(x) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("name", ["three_person", "three_person_jitter", "four_kinect_walk"])
+def test_poses_equal_the_reference_on_bundled_scenarios(name):
+    cfg = simulate.load_scenario(simulate.bundled_scenario_path(name))
+    _assert_poses_equal_the_reference(cfg.persons, np.linspace(0.0, cfg.duration, 2001).tolist())
+
+
+def test_poses_equal_the_reference_on_random_persons():
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        n_way = int(rng.integers(1, 6))
+        persons = [
+            PersonSpec(
+                f"p{i}",
+                waypoints=np.column_stack((np.sort(rng.uniform(0.0, 1000.0, n_way)),
+                                           rng.normal(size=(n_way, 2)) * 5.0)),
+                heading_deg=float(rng.uniform(-720.0, 720.0)),
+                swing_amplitude=float(rng.uniform(0.0, 1.5)),
+                swing_hz=float(rng.uniform(0.0, 3.0)),
+                swing_phase=float(rng.uniform(-10.0, 10.0)),
+            )
+            for i in range(int(rng.integers(1, 5)))
+        ]
+        times = rng.uniform(0.0, 1000.0, int(rng.integers(1, 60))).tolist()
+        _assert_poses_equal_the_reference(persons, times)
+
+
+def test_poses_of_no_person():
+    assert GroundTruth((), 2.0).poses([0.0, 1.5]).shape == (2, 0, JOINT_COUNT, 3)
+    _assert_poses_equal_the_reference([], [0.0, 1.0])
 
 
 def test_truth_bone_lengths_constant():
