@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import ukf
 from .model import CHEST, L_HIP, L_SHOULDER, NECK, R_HIP, R_SHOULDER, Skeleton3D
-from .ukf import FilterState, NoiseConfig
+from .ukf import FilterState
 
 # Squared-Mahalanobis gate on a 3D centroid. 9.49 is the chi-square 95th
 # percentile at 4 dof, about the 97.7th at 3 dof (whose 95th is 7.81).
@@ -78,17 +78,18 @@ def centroid(s: Skeleton3D) -> np.ndarray:
 def build_cost_matrix(
     predicted: FilterState,
     centroids: np.ndarray,
-    cfg: NoiseConfig,
+    r: float | np.ndarray,
 ) -> np.ndarray:
     """Squared-Mahalanobis cost matrix, tracks on rows, detections on columns.
 
     Each row of ``predicted`` is one track's centroid filter, already
     predicted to the detection stamp, and is scored against every detection
-    centroid. The innovation covariance is isotropic, so a cost is
+    centroid with the centroid's measurement variance ``r`` (one number, or
+    one per track). The innovation covariance is isotropic, so a cost is
     ``|z - z_hat|^2 / S``.
     """
     z_hat = predicted.position()
-    var = ukf.innovation_var(predicted, cfg.meas_sigma)
+    var = ukf.innovation_var(predicted, r)
     z = np.array(centroids).reshape(-1, 3)
     # A distance past float range costs inf by design; munkres never assigns it.
     with np.errstate(over="ignore"):
@@ -117,14 +118,15 @@ def data_association(
     predicted: FilterState,
     centroids: np.ndarray,
     eps: float,
-    cfg: NoiseConfig,
+    r: float | np.ndarray,
 ) -> AssociationResult:
     """Assign detection centroids to the rows of predicted track centroid filters.
 
-    An assignment survives only if its original cost is strictly below
-    ``eps``; leftover detections become track births.
+    Costs are scored with the centroid's measurement variance ``r`` (see
+    ``build_cost_matrix``). An assignment survives only if its original cost
+    is strictly below ``eps``; leftover detections become track births.
     """
-    cost = build_cost_matrix(predicted, centroids, cfg)
+    cost = build_cost_matrix(predicted, centroids, r)
     assignment = munkres(cost)
 
     matches = tuple((j, i) for i, j in assignment.items() if cost[i, j] < eps)

@@ -19,15 +19,16 @@ itself holds the rest:
 
 - A filter has started where ``p > 0``. A birth appends a zero-filled row, a
   joint's filter starts at its first valid measurement and the centroid's at
-  birth, ``init_filter`` starts ``p`` at ``meas_sigma**2 > 0``, and every
-  predict and update rejects a result with ``p <= 0``.
+  birth, ``init_filter`` starts ``p`` at its column's measurement variance
+  ``r > 0``, and every predict and update rejects a result with ``p <= 0``.
 - A track was last seen at ``last_update[:, CENTROID]``. Only a birth's
   ``init_filter`` and a match's predict-and-update write the centroid column,
   and a match moves it to ``max(old, t)``.
 
-An ingest predicts and updates all the rows it touches in a fixed handful of
-``ukf`` calls, and a snapshot predicts all the rows it reads in one. A birth
-appends a row; a retirement compacts the table in order.
+An ingest predicts the centroid column once for association, then fuses all
+16 columns of the rows it touches in one predict, one update and one
+``init_filter`` call; a snapshot predicts all the rows it reads in one. A
+birth appends a row; a retirement compacts the table in order.
 
 Track ids are never reused within a tracker instance. Identical ingest
 sequences produce bit-identical track histories.
@@ -36,7 +37,7 @@ sequences produce bit-identical track histories.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,7 +119,9 @@ class PoseTracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._centroid_noise = replace(self.config.noise, meas_sigma=CENTROID_MEAS_SIGMA)
+        # Each column's measurement variance r: the joints', then the centroid's.
+        self._r = np.full(COLUMNS, self.config.noise.meas_sigma**2)
+        self._r[CENTROID] = CENTROID_MEAS_SIGMA**2
         self.filters = FilterState(mean=np.zeros((0, COLUMNS, 6)), p=np.zeros((0, COLUMNS)),
                                    c=np.zeros((0, COLUMNS)), v=np.zeros((0, COLUMNS)),
                                    last_update=np.zeros((0, COLUMNS)))
@@ -154,12 +157,11 @@ class PoseTracker:
         centroids = centroids[kept]
 
         # A set with no centroid scores nothing, so no filter is predicted for it.
-        n_tracks = len(self.track_ids)
         predicted = self.filters[:0, CENTROID]
-        if len(centroids) and n_tracks:
-            predicted = _predict_to(self.filters[:, CENTROID], t, self._centroid_noise)
+        if len(centroids) and len(self.track_ids):
+            predicted = _predict_to(self.filters[:, CENTROID], t, cfg.noise)
         result = association.data_association(predicted, centroids, cfg.gating_eps,
-                                              self._centroid_noise)
+                                              self._r[CENTROID])
 
         matched = np.array([row for _, row in result.matches], dtype=np.int64)
         events = [TrackEvent("updated", track_id, t, dets.camera_id)
@@ -169,9 +171,14 @@ class PoseTracker:
             born = self._append(len(result.unmatched_detections))
             events += [TrackEvent("created", track_id, t, dets.camera_id)
                        for track_id in self.track_ids[born].tolist()]
+            self.hits[matched] += 1
+            # The matched centroids fuse the prediction that association scored.
+            _store(self.filters, (matched, CENTROID), predicted[matched])
             rows = kept[order]
-            self._fuse(matched, born, predicted[matched], dets.skeletons.joints[rows],
-                       dets.skeletons.valid[rows], centroids[order], t)
+            measured = np.concatenate([dets.skeletons.joints[rows], centroids[order, None]], axis=1)
+            valid = np.concatenate([dets.skeletons.valid[rows], np.ones((len(rows), 1), bool)],
+                                   axis=1)
+            self._fuse(np.concatenate([matched, born]), measured, valid, t)
 
         retired = t - self.filters.last_update[:, CENTROID] > cfg.max_track_age
         if retired.any():
@@ -201,39 +208,27 @@ class PoseTracker:
         return FusedSnapshot(stamp=t, track_ids=self.track_ids[confirmed],
                              tracks=Skeleton3D(positions, valid), cov_traces=traces)
 
-    def _fuse(self, matched: np.ndarray, born: np.ndarray, centroid_predicted: FilterState,
-              measured: np.ndarray, valid: np.ndarray, centroids: np.ndarray,
+    def _fuse(self, rows: np.ndarray, measured: np.ndarray, valid: np.ndarray,
               t: Timestamp) -> None:
-        """Update the ``matched`` rows and start the ``born`` ones from their detections.
+        """Predict, update and start the filters of ``rows`` from their detections.
 
-        The detections' joints ``measured (R, 15, 3)``, masks ``valid (R, 15)``
-        and ``centroids (R, 3)`` hold the matched rows' first, then the
-        newborns'. ``centroid_predicted`` is the matched rows' centroid
-        column, already predicted to ``t``.
+        ``measured (R, 16, 3)`` holds each row's detected joints and, as column
+        ``CENTROID``, its centroid; ``valid (R, 16)`` is their mask. A matched
+        row's centroid is already predicted to ``t``; a newborn row has started
+        no filter.
         """
-        noise = self.config.noise
-        n = len(matched)
-        if n:
-            _store(self.filters, (matched, CENTROID),
-                   ukf.update(centroid_predicted, centroids[:n], self._centroid_noise))
-            self.hits[matched] += 1
-        if len(born):
-            _store(self.filters, (born, CENTROID),
-                   ukf.init_filter(centroids[n:], t, self._centroid_noise))
-
-        rows = np.concatenate([matched, born])
-        started = self.filters.p[rows, :JOINT_COUNT] > 0
-        # Newborn rows have started no joint, so these are matched rows.
-        r, j = np.nonzero(started)
+        started = self.filters.p[rows] > 0
+        r, j = np.nonzero(started[:, :JOINT_COUNT])  # the matched centroids are predicted
+        if len(r):  # an unseen joint stays predict-only
+            _store(self.filters, (rows[r], j),
+                   _predict_to(self.filters[rows[r], j], t, self.config.noise))
+        r, j = np.nonzero(started & valid)
         if len(r):
-            predicted = _predict_to(self.filters[rows[r], j], t, noise)
-            seen = valid[r, j]
-            _store(self.filters, (rows[r], j), predicted)  # predict-only where unseen
-            _store(self.filters, (rows[r[seen]], j[seen]),
-                   ukf.update(predicted[seen], measured[r[seen], j[seen]], noise))
+            _store(self.filters, (rows[r], j),
+                   ukf.update(self.filters[rows[r], j], measured[r, j], self._r[j]))
         r, j = np.nonzero(valid & ~started)
         if len(r):
-            _store(self.filters, (rows[r], j), ukf.init_filter(measured[r, j], t, noise))
+            _store(self.filters, (rows[r], j), ukf.init_filter(measured[r, j], t, self._r[j]))
 
     def _append(self, n: int) -> np.ndarray:
         """Add ``n`` rows for newborn tracks, with new ids; return their indices.

@@ -23,12 +23,14 @@ Navigation*, section 6.3). The innovation covariance is ``(p + r) I3``, so the
 gain is two scalars and no matrix is formed or inverted. An anisotropic R,
 per-axis process noise or a non-diagonal start would break this structure.
 
-Filters are rows. A ``FilterState`` holds any number of independent filters
-in arrays with a common leading shape: means ``(..., 6)`` and ``p``, ``c``,
-``v`` and ``last_update`` of the leading shape itself. ``predict``, ``update``
-and ``init_filter`` apply the closed form to every row in one call, each row
-with its own ``dt`` and measurement; a single filter is one row. Every step is
-an elementwise IEEE operation in a fixed order (``q * dt * dt * dt / 3.0``,
+Filters are rows. A ``FilterState`` holds any number of independent filters in
+arrays with a common leading shape: means ``(..., 6)`` and ``p``, ``c``, ``v``
+and ``last_update`` of the leading shape itself. ``predict``, ``update`` and
+``init_filter`` apply the closed form to every row in one call, each row with
+its own ``dt`` and measurement; a single filter is one row. ``update`` and
+``init_filter`` take ``r``, one for all rows or one per row; ``predict`` takes
+a ``NoiseConfig`` and reads only its process noise. Every step is an
+elementwise IEEE operation in a fixed order (``q * dt * dt * dt / 3.0``,
 ``k1 * r``, ...), so a row's result does not depend on which other rows share
 the call, and a stacked call equals the same rows filtered one at a time, bit
 for bit. The tracker keeps all its filters in one such table.
@@ -121,8 +123,10 @@ def _first_nonfinite_row(z: np.ndarray) -> int | None:
     return int(np.argmin(finite.reshape(-1, 3).all(axis=1)))
 
 
-def init_filter(z0: np.ndarray, t0: Timestamp | np.ndarray, cfg: NoiseConfig) -> FilterState:
+def init_filter(z0: np.ndarray, t0: Timestamp | np.ndarray, r: float | np.ndarray) -> FilterState:
     """Start one filter per row of positions ``z0`` (..., 3) at rest, stamped ``t0``.
+
+    Each row's position variance starts at ``r``, one for all rows or one per row.
 
     Raises:
         ValueError: if any entry of ``z0`` is non-finite.
@@ -134,7 +138,7 @@ def init_filter(z0: np.ndarray, t0: Timestamp | np.ndarray, cfg: NoiseConfig) ->
                          f"in row {bad}")
     shape = z0.shape[:-1]
     return FilterState(mean=np.concatenate([z0, np.zeros_like(z0)], axis=-1),
-                       p=np.full(shape, cfg.meas_sigma**2), c=np.zeros(shape),
+                       p=np.full(shape, r), c=np.zeros(shape),
                        v=np.full(shape, INIT_VEL_SIGMA**2), last_update=np.full(shape, t0))
 
 
@@ -173,20 +177,20 @@ def predict(s: FilterState, t: Timestamp | np.ndarray, cfg: NoiseConfig) -> Filt
     return FilterState(mean=mean, p=p, c=c, v=v, last_update=np.full(dt.shape, t))
 
 
-def innovation_var(s: FilterState, meas_sigma: float) -> np.ndarray:
-    """Per-axis innovation variance of each row: ``S = H P H' + R = (p + meas_sigma^2) I``.
+def innovation_var(s: FilterState, r: float | np.ndarray) -> np.ndarray:
+    """Per-axis innovation variance of each row: ``S = H P H' + R = (p + r) I``.
 
-    With ``H = [I 0]`` the predicted measurement is ``s.position()``.
+    ``r`` may be one per row. With ``H = [I 0]`` the predicted measurement is ``s.position()``.
     """
-    return s.p + meas_sigma**2
+    return s.p + r
 
 
-def update(s: FilterState, z: np.ndarray, cfg: NoiseConfig) -> FilterState:
+def update(s: FilterState, z: np.ndarray, r: float | np.ndarray) -> FilterState:
     """Kalman position-measurement update of already-predicted rows, one ``z`` (..., 3) each.
 
-    The gain is ``[k1; k2] = [p; c] / S``; ``x <- x + [k1; k2] (z - z_hat)``
-    and ``P2 <- P2 - [k1; k2] S [k1, k2]``, whose first row is
-    ``[k1 r, k2 r]``.
+    ``r`` may be one per row. The gain is ``[k1; k2] = [p; c] / S``;
+    ``x <- x + [k1; k2] (z - z_hat)`` and ``P2 <- P2 - [k1; k2] S [k1, k2]``,
+    whose first row is ``[k1 r, k2 r]``.
 
     Raises:
         ValueError: if any entry of ``z`` is non-finite (``s`` is left unchanged).
@@ -198,12 +202,11 @@ def update(s: FilterState, z: np.ndarray, cfg: NoiseConfig) -> FilterState:
         raise ValueError(f"measurement must be finite, got {z.reshape(-1, 3)[bad]} in row {bad}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        S = innovation_var(s, cfg.meas_sigma)
+        S = innovation_var(s, r)
         k1 = s.p / S
         k2 = s.c / S
         # k1 r, not p - k1 p: once p dwarfs r, as after a gap of hours, k1
         # rounds to 1 and the difference cancels to 0.
-        r = cfg.meas_sigma**2
         p = k1 * r
         c = k2 * r
         v = s.v - k2 * s.c

@@ -32,24 +32,27 @@ def _bundled(name):
     return load_scenario(str(path))
 
 
+CFG = NoiseConfig()
+R = CFG.meas_sigma**2
+
+
 # -----------------------------------------------------------------------------
 # 1. The ukf module == an independent linear KF on the constant-velocity model
 # -----------------------------------------------------------------------------
 
 def test_criterion_1_ukf_linear_kf_equivalence():
-    cfg = NoiseConfig()
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
     worst_mean, worst_cov = 0.0, 0.0
     for _ in range(100):
         z0 = rng.uniform(-3, 3, 3)
-        s = init_filter(z0[None], 0.0, cfg)  # one row
-        kf = LinearKalman(z0, 0.0, cfg)
+        s = init_filter(z0[None], 0.0, R)  # one row
+        kf = LinearKalman(z0, 0.0, CFG)
         t = 0.0
         for _ in range(50):
             t += rng.uniform(0.005, 0.5)
             z = rng.uniform(-4, 4, 3)
-            s = update(predict(s, t, cfg), z[None], cfg)
+            s = update(predict(s, t, CFG), z[None], R)
             kf.predict(t)
             kf.update(z)
             worst_mean = max(worst_mean, float(np.max(np.abs(s.mean - kf.x))))
@@ -153,7 +156,6 @@ def test_criterion_4_median_depth_brute_force():
 # -----------------------------------------------------------------------------
 
 def test_criterion_5_association_partition_and_gated_optimum():
-    cfg = NoiseConfig()
     rng = np.random.default_rng(1005)
     from skelfuse.model import CHEST
 
@@ -161,7 +163,7 @@ def test_criterion_5_association_partition_and_gated_optimum():
     for _ in range(1000):
         n_tracks = int(rng.integers(0, 6))
         n_dets = int(rng.integers(0, 6))
-        filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, cfg)
+        filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, R)
         skels = []
         for _ in range(n_dets):
             if rng.random() < 0.1:
@@ -172,13 +174,13 @@ def test_criterion_5_association_partition_and_gated_optimum():
         # As the tracker does: drop centroid-less skeletons, predict all rows in one call.
         cents = centroid(Skeleton3D.stack(skels))
         cents = cents[~np.isnan(cents[:, 0])]
-        predicted = predict(filters, stamp, cfg)
+        predicted = predict(filters, stamp, CFG)
         eps = float(rng.uniform(0.5, 25.0))
-        res = data_association(predicted, cents, eps, cfg)
+        res = data_association(predicted, cents, eps, R)
         assert_partition(res, n_tracks, len(cents))
 
         if n_tracks and len(cents):
-            cost = build_cost_matrix(predicted, cents, cfg)
+            cost = build_cost_matrix(predicted, cents, R)
             expect, unique = _brute_force_gated(cost, eps)
             if unique:
                 assert tuple(sorted(res.matches)) == expect

@@ -20,6 +20,7 @@ from conftest import sparse_skeleton
 from test_ukf import full_cov
 
 CFG = NoiseConfig()
+R = CFG.meas_sigma**2
 
 
 # --- centroid ------------------------------------------------------------------
@@ -101,13 +102,13 @@ def _cents(points):
 
 
 def test_cost_matrix_no_tracks():
-    c = build_cost_matrix(init_filter(np.zeros((0, 3)), 0.0, CFG), _cents([(0, 0, 1)]), CFG)
+    c = build_cost_matrix(init_filter(np.zeros((0, 3)), 0.0, R), _cents([(0, 0, 1)]), R)
     assert c.shape == (0, 1)
 
 
 def test_cost_matrix_zero_at_predicted_position():
-    f = init_filter(np.array([[1.0, 1.0, 1.0]]), 0.0, CFG)
-    c = build_cost_matrix(f, _cents([(1.0, 1.0, 1.0)]), CFG)
+    f = init_filter(np.array([[1.0, 1.0, 1.0]]), 0.0, R)
+    c = build_cost_matrix(f, _cents([(1.0, 1.0, 1.0)]), R)
     assert c.shape == (1, 1)
     assert c[0, 0] == pytest.approx(0.0, abs=1e-18)
 
@@ -116,10 +117,10 @@ def test_cost_matrix_elementwise_oracle():
     # 2x3 case recomputed element by element with explicit matrices
     # (independent of the production filter code).
     rng = np.random.default_rng(3)
-    tracks = init_filter(rng.uniform(-1, 1, (2, 3)), 0.0, CFG)
+    tracks = init_filter(rng.uniform(-1, 1, (2, 3)), 0.0, R)
     cents = [rng.uniform(-1, 1, 3) for _ in range(3)]
     t = 0.25
-    c = build_cost_matrix(predict(tracks, t, CFG), cents, CFG)
+    c = build_cost_matrix(predict(tracks, t, CFG), cents, R)
 
     H = np.hstack([np.eye(3), np.zeros((3, 3))])
     F = np.eye(6)
@@ -196,30 +197,30 @@ def test_munkres_matches_brute_force_randomized():
 # --- data_association -----------------------------------------------------------
 
 def test_association_no_tracks_all_unmatched():
-    no_tracks = init_filter(np.zeros((0, 3)), 0.0, CFG)
-    res = data_association(no_tracks, _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, CFG)
+    no_tracks = init_filter(np.zeros((0, 3)), 0.0, R)
+    res = data_association(no_tracks, _cents([(0, 0, 1), (1, 1, 1)]), DEFAULT_GATE, R)
     assert res.matches == ()
     assert res.unmatched_detections == (0, 1)
 
 
 def test_association_gate_splits_matches():
-    f = init_filter(np.array([[0.0, 0.0, 1.0]]), 0.0, CFG)
+    f = init_filter(np.array([[0.0, 0.0, 1.0]]), 0.0, R)
     # det 0 at the predicted position; det 1 far beyond the gate
-    res = data_association(f, _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, CFG)
+    res = data_association(f, _cents([(0.0, 0.0, 1.0), (5.0, 5.0, 5.0)]), DEFAULT_GATE, R)
     assert res.matches == ((0, 0),)
     assert res.unmatched_detections == (1,)
 
 
 def test_association_strict_gate_boundary():
-    f = init_filter(np.array([[0.0, 0.0, 0.0]]), 0.0, CFG)
-    res = data_association(f, _cents([(0.05, 0.0, 0.0)]), 1e-12, CFG)
+    f = init_filter(np.array([[0.0, 0.0, 0.0]]), 0.0, R)
+    res = data_association(f, _cents([(0.05, 0.0, 0.0)]), 1e-12, R)
     assert res.matches == ()
     assert res.unmatched_detections == (0,)
 
 
 def _random_config(rng, n_tracks, n_dets, missing_prob=0.0):
     """Predicted track filters and detection centroids; a missing one is dropped."""
-    filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, CFG)
+    filters = init_filter(rng.uniform(-3, 3, (n_tracks, 3)), 0.0, R)
     points = [None if rng.random() < missing_prob else tuple(rng.uniform(-3, 3, 3))
               for _ in range(n_dets)]
     stamp = float(rng.uniform(0, 0.5))
@@ -266,11 +267,11 @@ def test_association_matches_gated_brute_force():
         n_dets = int(rng.integers(0, 5))
         predicted, cents = _random_config(rng, n_tracks, n_dets, missing_prob=0.15)
         eps = float(rng.uniform(0.5, 30.0))
-        res = data_association(predicted, cents, eps, CFG)
+        res = data_association(predicted, cents, eps, R)
         assert_partition(res, n_tracks, len(cents))
 
         if n_tracks and cents:
-            cost = build_cost_matrix(predicted, cents, CFG)
+            cost = build_cost_matrix(predicted, cents, R)
             expect, unique = _brute_force_gated(cost, eps)
             if unique:
                 assert tuple(sorted(res.matches)) == expect
@@ -284,20 +285,20 @@ def test_gating_monotonicity():
         predicted, cents = _random_config(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         eps_small = float(rng.uniform(0.1, 5.0))
         eps_big = eps_small + float(rng.uniform(0.0, 30.0))
-        small = set(data_association(predicted, cents, eps_small, CFG).matches)
-        big = set(data_association(predicted, cents, eps_big, CFG).matches)
+        small = set(data_association(predicted, cents, eps_small, R).matches)
+        big = set(data_association(predicted, cents, eps_big, R).matches)
         assert small <= big
 
 
 def test_detection_permutation_stability():
     # Permuting detections permutes indices but keeps (track, centroid) pairs.
-    filters = init_filter(np.array([[float(i), 0.0, 1.0] for i in range(3)]), 0.0, CFG)
+    filters = init_filter(np.array([[float(i), 0.0, 1.0] for i in range(3)]), 0.0, R)
     points = [(0.02, 0.0, 1.0), (1.01, 0.05, 1.0), (2.0, -0.03, 1.0)]
-    base = data_association(filters, _cents(points), DEFAULT_GATE, CFG)
+    base = data_association(filters, _cents(points), DEFAULT_GATE, R)
     base_pairs = {(points[j], row) for j, row in base.matches}
     for perm in itertools.permutations(range(3)):
         shuffled = [points[p] for p in perm]
-        res = data_association(filters, _cents(shuffled), DEFAULT_GATE, CFG)
+        res = data_association(filters, _cents(shuffled), DEFAULT_GATE, R)
         pairs = {(shuffled[j], row) for j, row in res.matches}
         assert pairs == base_pairs
 

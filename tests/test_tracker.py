@@ -5,7 +5,7 @@ import pytest
 
 from skelfuse import ukf
 from skelfuse.model import CHEST, DetectionSet, Skeleton3D
-from skelfuse.tracker import CENTROID, PoseTracker, TrackerConfig
+from skelfuse.tracker import CENTROID, CENTROID_MEAS_SIGMA, PoseTracker, TrackerConfig
 from skelfuse.ukf import NoiseConfig
 
 from conftest import full_skeleton, sparse_skeleton, walking_scenario
@@ -175,6 +175,35 @@ def test_one_predict_call_covers_the_centroid_column_once(monkeypatch):
     assert [e.kind for e in events] == ["updated", "updated"]
     covering = [keys for keys in calls if set(keys) & set(centroid_rows)]
     assert covering == [centroid_rows]
+
+
+def test_one_update_and_one_init_call_fuse_the_centroid_with_the_joints(monkeypatch):
+    # One set both matches a track with all joints seen and births a track: the
+    # centroid column rides in the joints' update call and in their init call.
+    tracker = PoseTracker()
+    tracker.ingest(_dets("c0", 0.0, [full_skeleton()]))
+    calls = []
+    for name in ("update", "init_filter"):
+        def spy(first, second, r, real=getattr(ukf, name), name=name):
+            calls.append((name, first if name == "init_filter" else second, r))
+            return real(first, second, r)
+        monkeypatch.setattr(ukf, name, spy)
+    predicted_rows = []
+    real_predict = ukf.predict
+    monkeypatch.setattr(ukf, "predict", lambda state, t, cfg: (
+        predicted_rows.append(state.p.size) or real_predict(state, t, cfg)))
+    matched = full_skeleton((0.02, 0.0, 1.0))
+    newborn = sparse_skeleton({CHEST: (4.0, 4.0, 1.3)})
+    events = tracker.ingest(_dets("c1", 0.1, [matched, newborn]))
+    assert sorted(e.kind for e in events) == ["created", "updated"]
+    # Association predicts the track's centroid; fusion predicts only its 15 joints.
+    assert predicted_rows == [1, 15]
+    assert [name for name, _, _ in calls] == ["update", "init_filter"]
+    # The matched row's 15 joints and centroid; the newborn's chest and centroid.
+    assert [len(z) for _, z, _ in calls] == [16, 2]
+    for (_, z, r), centroid in zip(calls, (matched.joints[CHEST], newborn.joints[CHEST])):
+        is_centroid = np.asarray(r) == CENTROID_MEAS_SIGMA**2
+        assert np.array_equal(z[is_centroid], [centroid])
 
 
 def test_snapshot_empty_for_fresh_tracker():

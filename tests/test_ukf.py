@@ -44,9 +44,9 @@ def row(mean, p, c, v, last_update):
                        v=np.array([v]), last_update=np.array([last_update]))
 
 
-def start(z0, t0=0.0, cfg=None):
+def start(z0, t0=0.0):
     """A one-row filter started at the 3-vector ``z0``."""
-    return init_filter(np.asarray(z0, dtype=float).reshape(1, 3), t0, cfg or CFG)
+    return init_filter(np.asarray(z0, dtype=float).reshape(1, 3), t0, R)
 
 
 class LinearKalman:
@@ -102,11 +102,13 @@ class LinearKalman:
 
 
 CFG = NoiseConfig()
+R = CFG.meas_sigma**2
 
 
 def innovation_cost(s, z, t, cfg=CFG):
     """Cost of one detection centroid at ``z`` against track filter ``s`` predicted to ``t``."""
-    return float(build_cost_matrix(predict(s, t, cfg), [np.asarray(z, dtype=float)], cfg)[0, 0])
+    return float(build_cost_matrix(predict(s, t, cfg), [np.asarray(z, dtype=float)],
+                                   cfg.meas_sigma**2)[0, 0])
 
 
 def test_init_filter_mean_and_velocity():
@@ -165,13 +167,13 @@ def test_predict_inflates_position_covariance():
         s = predict(s, t, CFG)
         diff = full_cov(s)[0, :3, :3] - before
         assert np.min(np.linalg.eigvalsh(diff)) > -1e-12
-        s = update(s, s.position() + rng.normal(0, 0.05, 3), CFG)
+        s = update(s, s.position() + rng.normal(0, 0.05, 3), R)
 
 
 def test_update_zero_innovation_keeps_mean_shrinks_cov():
     s = start([1.0, 1.0, 1.0])
     s = predict(s, 0.1, CFG)
-    u = update(s, s.position(), CFG)
+    u = update(s, s.position(), R)
     assert np.allclose(u.position(), s.position(), atol=1e-12)
     diff = full_cov(s)[0, :3, :3] - full_cov(u)[0, :3, :3]
     assert np.min(np.linalg.eigvalsh(diff)) > 0.0
@@ -180,7 +182,7 @@ def test_update_zero_innovation_keeps_mean_shrinks_cov():
 def test_update_rejects_nonfinite_measurement():
     s = start(np.zeros(3))
     with pytest.raises(ValueError):
-        update(s, np.array([[np.inf, 0.0, 0.0]]), CFG)
+        update(s, np.array([[np.inf, 0.0, 0.0]]), R)
 
 
 def test_repeated_updates_converge_monotonically():
@@ -193,7 +195,7 @@ def test_repeated_updates_converge_monotonically():
     floor = 1e-4
     for _ in range(40):
         t += 0.1
-        s = update(predict(s, t, CFG), target, CFG)
+        s = update(predict(s, t, CFG), target, R)
         d = np.linalg.norm(s.position() - target)
         if dist > floor:
             assert d < dist
@@ -215,7 +217,7 @@ def test_ukf_equals_linear_kf_on_random_sequences():
             z = rng.uniform(-3, 3, 3)
             s = predict(s, t, CFG)
             kf.predict(t)
-            s = update(s, z[None], CFG)
+            s = update(s, z[None], R)
             kf.update(z)
             assert np.max(np.abs(s.mean - kf.x)) < 1e-9
             assert np.max(np.abs(full_cov(s)[0] - kf.P)) < 1e-9
@@ -248,7 +250,7 @@ def test_innovation_cost_matches_direct_solve():
         for _ in range(5):
             t += rng.uniform(0.05, 0.2)
             z = z0 + rng.normal(0, 0.1, 3)
-            s = update(predict(s, t, CFG), z[None], CFG)
+            s = update(predict(s, t, CFG), z[None], R)
             kf.predict(t)
             kf.update(z)
         z_cand = rng.uniform(-2, 2, 3)
@@ -278,7 +280,7 @@ def test_innovation_cost_rotation_invariant():
     R6[3:, 3:] = q
 
     s = start(rng.uniform(-1, 1, 3))
-    s = update(predict(s, 0.2, CFG), rng.uniform(-1, 1, (1, 3)), CFG)
+    s = update(predict(s, 0.2, CFG), rng.uniform(-1, 1, (1, 3)), R)
     z = rng.uniform(-2, 2, 3)
 
     # A covariance kron(P2, I3) is unchanged by rotating all three axes alike.
@@ -294,7 +296,7 @@ def test_predict_split_consistency():
     rng = np.random.default_rng(91)
     for _ in range(20):
         s = start(rng.uniform(-1, 1, 3))
-        s = update(predict(s, 0.15, CFG), rng.uniform(-1, 1, (1, 3)), CFG)
+        s = update(predict(s, 0.15, CFG), rng.uniform(-1, 1, (1, 3)), R)
         dt1, dt2 = rng.uniform(0.01, 0.5, 2)
         one_shot = predict(s, s.last_update + dt1 + dt2, CFG)
         stepped = predict(predict(s, s.last_update + dt1, CFG), s.last_update + dt1 + dt2, CFG)
@@ -310,7 +312,7 @@ def test_covariance_stays_symmetric_pd_under_long_runs():
         t += rng.uniform(0.001, 0.5)
         s = predict(s, t, CFG)
         if rng.random() < 0.7:
-            s = update(s, rng.uniform(-4, 4, (1, 3)), CFG)
+            s = update(s, rng.uniform(-4, 4, (1, 3)), R)
         cov = full_cov(s)[0]
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         np.linalg.cholesky(cov)
@@ -320,7 +322,7 @@ def test_process_noise_increments():
     # dt a power of two and q = 4 keep q*dt and q*dt^2/2 exact, so the
     # increments can be compared bit for bit; so does last_update = 0.5.
     q = CFG.process_accel_sigma**2
-    s = update(predict(start(np.zeros(3)), 0.5, CFG), np.full((1, 3), 0.1), CFG)
+    s = update(predict(start(np.zeros(3)), 0.5, CFG), np.full((1, 3), 0.1), R)
     p, c, v = pcv(s)
     assert c != 0.0
     for dt in (0.125, 0.25, 0.5):
@@ -336,12 +338,12 @@ NONFINITE = [("p", np.nan), ("p", np.inf), ("c", np.nan), ("c", np.inf), ("c", -
 
 @pytest.mark.parametrize("field, value", NONFINITE)
 def test_nonfinite_covariance_raises(field, value):
-    s = update(predict(start(np.zeros(3)), 0.3, CFG), np.full((1, 3), 0.1), CFG)
+    s = update(predict(start(np.zeros(3)), 0.3, CFG), np.full((1, 3), 0.1), R)
     bad = replace(s, **{field: np.array([value])})
     with pytest.raises(FilterNumericsError):
         predict(bad, bad.last_update + 0.1, CFG)
     with pytest.raises(FilterNumericsError):
-        update(bad, np.full((1, 3), 0.2), CFG)
+        update(bad, np.full((1, 3), 0.2), R)
 
 
 def test_long_gap_boundary():
@@ -350,7 +352,7 @@ def test_long_gap_boundary():
     assert 3 * far.p.item() == pytest.approx(4e300, rel=1e-12)
     assert np.all(np.isfinite(far.mean)) and np.isfinite(far.c.item()) and np.isfinite(far.v.item())
     # The first measurement after the gap pins the position variance to r.
-    assert update(far, np.ones((1, 3)), CFG).p.item() == pytest.approx(CFG.meas_sigma**2, rel=1e-12)
+    assert update(far, np.ones((1, 3)), R).p.item() == pytest.approx(CFG.meas_sigma**2, rel=1e-12)
     with pytest.raises(FilterNumericsError):
         predict(s, 1e103, CFG)
 
@@ -371,33 +373,39 @@ def _fields(s):
 
 
 def test_stacked_rows_equal_rows_one_at_a_time_bit_for_bit():
-    # Each row has its own dt (a fifth of them 0) and measurement; the noise
-    # varies between trials. The stacked call must equal the same rows run
-    # one at a time, and the frozen scalar filter of Python floats, bit for bit.
+    # Each row has its own dt (a fifth of them 0), measurement and measurement
+    # sigma; the process noise varies between trials. A stacked predict, and
+    # update and init_filter with one r per row, must equal the same rows run
+    # one at a time with their scalar r, and the frozen scalar filter of Python
+    # floats with each row's NoiseConfig, bit for bit.
     rng = np.random.default_rng(17)
     rows = 0
     for _ in range(200):
-        cfg = NoiseConfig(process_accel_sigma=float(rng.uniform(0.5, 5.0)),
-                          meas_sigma=float(rng.uniform(0.01, 0.3)))
-        ref_cfg = ref_ukf.NoiseConfig(cfg.process_accel_sigma, cfg.meas_sigma)
+        cfg = NoiseConfig(process_accel_sigma=float(rng.uniform(0.5, 5.0)))
         n = int(rng.integers(1, 33))
+        sigmas = rng.uniform(0.01, 0.3, n).tolist()
+        r = np.array([sigma**2 for sigma in sigmas])  # as NoiseConfig.meas_sigma**2
         s = _random_rows(rng, n)
         t = s.last_update + rng.exponential(0.2, n) * (rng.random(n) < 0.8)
         z = rng.normal(0.0, 2.0, (n, 3))
         predicted = predict(s, t, cfg)
-        stacked = update(predicted, z, cfg)
+        stacked = update(predicted, z, r)
+        started = init_filter(z, t, r)
         for i in range(n):
             one_p = predict(s[i:i + 1], t[i:i + 1], cfg)
             assert _fields(one_p) == _fields(predicted[i:i + 1])
-            assert _fields(update(one_p, z[i:i + 1], cfg)) == _fields(stacked[i:i + 1])
+            assert _fields(update(one_p, z[i:i + 1], sigmas[i]**2)) == _fields(stacked[i:i + 1])
+            assert (_fields(init_filter(z[i:i + 1], t[i:i + 1], sigmas[i]**2))
+                    == _fields(started[i:i + 1]))
+            ref_cfg = ref_ukf.NoiseConfig(cfg.process_accel_sigma, sigmas[i])
             ref = ref_ukf.update(ref_ukf.predict(
                 ref_ukf.FilterState(mean=s.mean[i].copy(), p=float(s.p[i]), c=float(s.c[i]),
                                     v=float(s.v[i]), last_update=float(s.last_update[i])),
                 float(t[i]), ref_cfg), z[i], ref_cfg)
-            assert ref.mean.tobytes() == stacked.mean[i].tobytes()
-            assert (np.array([ref.p, ref.c, ref.v, ref.last_update]).tobytes()
-                    == np.array([stacked.p[i], stacked.c[i], stacked.v[i],
-                                 stacked.last_update[i]]).tobytes())
+            ref_start = ref_ukf.init_filter(z[i], float(t[i]), ref_cfg)
+            for ref_row, got in ((ref, stacked), (ref_start, started)):
+                assert (_fields(row(ref_row.mean, ref_row.p, ref_row.c, ref_row.v,
+                                    ref_row.last_update)) == _fields(got[i:i + 1]))
         rows += n
     assert rows > 3000
 
@@ -413,9 +421,9 @@ def test_nonfinite_row_in_batch_raises_and_leaves_table_unchanged(bad):
     z = rng.normal(0.0, 1.0, (4, 16, 3))
     z[2, 9, 1] = bad
     with pytest.raises(ValueError, match="row 41"):
-        update(table, z, CFG)
+        update(table, z, R)
     with pytest.raises(ValueError, match="row 41"):
-        init_filter(z, 0.0, CFG)
+        init_filter(z, 0.0, R)
     after = (table.mean, table.p, table.c, table.v, table.last_update)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -436,7 +444,7 @@ def test_nees_monte_carlo_within_chi2_band():
     q, r = CFG.process_accel_sigma**2, CFG.meas_sigma**2
     pos = rng.uniform(-2.0, 2.0, (runs, 3))
     vel = rng.normal(0.0, INIT_VEL_SIGMA, (runs, 3))  # the filter starts at rest
-    s = init_filter(pos + rng.normal(0.0, np.sqrt(r), (runs, 3)), 0.0, CFG)
+    s = init_filter(pos + rng.normal(0.0, np.sqrt(r), (runs, 3)), 0.0, R)
     t = np.zeros(runs)
     lo, hi = chi2.ppf([0.005, 0.995], 6 * runs) / runs
     step_means = []
@@ -446,7 +454,7 @@ def test_nees_monte_carlo_within_chi2_band():
         dp = dv * dt / 2 + rng.normal(0.0, 1.0, (runs, 3)) * np.sqrt(q * dt**3 / 12)
         pos, vel = pos + vel * dt + dp, vel + dv
         t = t + dt[:, 0]
-        s = update(predict(s, t, CFG), pos + rng.normal(0.0, np.sqrt(r), (runs, 3)), CFG)
+        s = update(predict(s, t, CFG), pos + rng.normal(0.0, np.sqrt(r), (runs, 3)), R)
         err = np.concatenate([pos, vel], axis=1) - s.mean
         nees = np.einsum("ni,ni->n", err, np.linalg.solve(full_cov(s), err[..., None])[..., 0])
         step_means.append(nees.mean())
